@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from dataclasses import dataclass, field
 
 from .fractal_graph import (
     Address,
@@ -27,7 +27,6 @@ from .laplacian import laplacian_csv, pointwise_laplacian_profile
 from .decimation import (
     DIMENSION_CONSTANTS,
     counting_csv,
-    counting_function,
     enumerate_spectrum,
     limit_spectrum,
     limit_spectrum_json,
@@ -44,23 +43,6 @@ EXIT_IO = 4
 OUTDIR_ENV = "TETRALAP_OUTDIR"
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    level: int = 0
-    boundary_values: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    output_path: str | None = None
-    format: str = "json"
-    births: int = 6
-    count: int = 100
-    depth: int = 3
-    use_limit: bool = False
-    fit: bool = False
-    tol: float = 1e-8
-    vertex: str | None = None
-    extra: dict = field(default_factory=dict)
-
-
 def _boundary(text: str):
     parts = text.split(",")
     if len(parts) != 4:
@@ -75,20 +57,20 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _cmd_build_graph(cfg: RunConfig) -> str:
-    g = build_level(cfg.level)
-    if cfg.format == "obj":
+def _cmd_build_graph(args: argparse.Namespace) -> str:
+    g = build_level(args.level)
+    if args.format == "obj":
         return graph_obj(g)
     return _json_text(graph_json(g))
 
 
-def _cmd_harmonic(cfg: RunConfig) -> str:
-    u = harmonize(cfg.boundary_values, cfg.level)
-    if cfg.format == "json":
+def _cmd_harmonic(args: argparse.Namespace) -> str:
+    u = harmonize(args.boundary, args.level)
+    if args.format == "json":
         return _json_text(
             {
-                "level": cfg.level,
-                "boundary": list(cfg.boundary_values),
+                "level": args.level,
+                "boundary": list(args.boundary),
                 "values": {str(a): float(v) for a, v in zip(u.graph.vertices, u.values)},
             }
         )
@@ -105,16 +87,16 @@ def _spectrum_csv(table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_spectrum(cfg: RunConfig) -> str:
-    table = enumerate_spectrum(cfg.level)
-    if cfg.format == "csv":
+def _cmd_spectrum(args: argparse.Namespace) -> str:
+    table = enumerate_spectrum(args.level)
+    if args.format == "csv":
         return _spectrum_csv(table)
     return _json_text(spectrum_json(table))
 
 
-def _cmd_limit_spectrum(cfg: RunConfig) -> str:
-    limits = limit_spectrum(cfg.births, cfg.count)
-    if cfg.format == "csv":
+def _cmd_limit_spectrum(args: argparse.Namespace) -> str:
+    limits = limit_spectrum(args.births, args.count)
+    if args.format == "csv":
         lines = ["value,multiplicity,birth_level,birth_value,branches,generations_used"]
         for l in limits:
             lines.append(
@@ -123,7 +105,7 @@ def _cmd_limit_spectrum(cfg: RunConfig) -> str:
             )
         return "\n".join(lines) + "\n"
     payload = limit_spectrum_json(limits)
-    if cfg.fit:
+    if args.fit:
         alpha, diag = weyl_fit(limits)
         payload["weyl_fit"] = {
             "alpha_hat": alpha,
@@ -137,39 +119,41 @@ def _cmd_limit_spectrum(cfg: RunConfig) -> str:
     return _json_text(payload)
 
 
-def _cmd_counting(cfg: RunConfig) -> str:
-    if cfg.use_limit:
-        records = limit_spectrum(cfg.births, cfg.count)
+def _cmd_counting(args: argparse.Namespace) -> str:
+    if args.use_limit:
+        records = limit_spectrum(args.births, args.count)
     else:
-        records = enumerate_spectrum(cfg.level)
-    if cfg.format == "json":
+        records = enumerate_spectrum(args.level)
+    if args.format == "json":
         recs = records.records if hasattr(records, "records") else records
-        return _json_text(
-            {"points": [[r.value, counting_function(recs, r.value)] for r in recs]}
-        )
+        counts, total = {}, 0
+        for r in sorted(recs, key=lambda r: r.value):
+            total += r.multiplicity
+            counts[r.value] = total  # the last of a tie wins: N(x) counts all of x
+        return _json_text({"points": [[r.value, counts[r.value]] for r in recs]})
     return counting_csv(records)
 
 
-def _cmd_laplacian_check(cfg: RunConfig) -> str:
-    u = harmonic_family(cfg.boundary_values)
-    base = build_level(cfg.level)
-    if cfg.vertex is not None:
-        targets = [Address.from_string(cfg.vertex)]
+def _cmd_laplacian_check(args: argparse.Namespace) -> str:
+    u = harmonic_family(args.boundary)
+    base = build_level(args.level)
+    if args.vertex is not None:
+        targets = [Address.from_string(args.vertex)]
     else:
         targets = [base.vertices[v] for v in base.interior]
     estimates = []
     for x in targets:
         estimates.extend(
-            pointwise_laplacian_profile(u, x, range(cfg.level, cfg.level + cfg.depth + 1))
+            pointwise_laplacian_profile(u, x, range(args.level, args.level + args.depth + 1))
         )
     estimates.sort(key=lambda e: (e.level, str(e.vertex)))
     return laplacian_csv(estimates)
 
 
-def _cmd_oracle_compare(cfg: RunConfig) -> str:
-    g = build_level(cfg.level)
-    decomp = oracle.jacobi_eigen(oracle.assemble(cfg.level, graph=g))
-    table = enumerate_spectrum(cfg.level)
+def _cmd_oracle_compare(args: argparse.Namespace) -> str:
+    g = build_level(args.level)
+    decomp = oracle.jacobi_eigen(oracle.assemble(args.level, graph=g))
+    table = enumerate_spectrum(args.level)
     expanded = []
     for r in table.records:
         expanded.extend([r.value] * r.multiplicity)
@@ -179,18 +163,18 @@ def _cmd_oracle_compare(cfg: RunConfig) -> str:
     for i, (ov, dv) in enumerate(zip(decomp.values, expanded)):
         diff = abs(float(ov) - dv)
         worst = max(worst, diff)
-        lines.append(f"{cfg.level},{i},{float(ov)!r},{dv!r},{diff!r}")
+        lines.append(f"{args.level},{i},{float(ov)!r},{dv!r},{diff!r}")
     body = "\n".join(lines) + "\n"
-    if worst > cfg.tol:
+    if worst > args.tol:
         raise ValueError(
-            f"oracle and decimation disagree: max |diff| {worst:.3e} > tol {cfg.tol:.1e}"
+            f"oracle and decimation disagree: max |diff| {worst:.3e} > tol {args.tol:.1e}"
         )
     return body
 
 
-def _cmd_constants(cfg: RunConfig) -> str:
+def _cmd_constants(args: argparse.Namespace) -> str:
     table = DIMENSION_CONSTANTS.as_dict()
-    if cfg.format == "json":
+    if args.format == "json":
         return _json_text(table)
     lines = [f"{name}={entry['value']!r}  # {entry['formula']}" for name, entry in table.items()]
     return "\n".join(lines) + "\n"
@@ -208,16 +192,16 @@ _HANDLERS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute one configured subcommand; returns the exit status."""
     try:
-        text = _HANDLERS[cfg.subcommand](cfg)
+        text = _HANDLERS[args.subcommand](args)
     except (LevelCapError, ValueError, KeyError) as exc:
         message = str(exc) if not isinstance(exc, KeyError) else str(exc.args[0])
         print(json.dumps({"error": {"code": EXIT_DOMAIN, "message": message}}), file=sys.stderr)
         return EXIT_DOMAIN
     try:
-        _write(text, cfg.output_path)
+        _write(text, args.output)
     except OSError as exc:
         print(json.dumps({"error": {"code": EXIT_IO, "message": str(exc)}}), file=sys.stderr)
         return EXIT_IO
@@ -292,24 +276,20 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    for name in ("level", "output", "format", "births", "count", "depth",
-                 "use_limit", "fit", "tol", "vertex", "boundary"):
-        if hasattr(args, name):
-            value = getattr(args, name)
-            if name == "output":
-                cfg.output_path = value
-            elif name == "boundary":
-                cfg.boundary_values = value
-            else:
-                setattr(cfg, name, value)
-    return cfg
+def _glue_negative_values(argv):
+    # argparse takes "--boundary -0.3,..." for two flags; pass it as "--boundary=-0.3,..."
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--boundary" and re.match(r"-[\d.]", tok):
+            out[-1] = f"--boundary={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    return run(config_from_args(args))
+    argv = sys.argv[1:] if argv is None else argv
+    return run(_parser().parse_args(_glue_negative_values(argv)))
 
 
 if __name__ == "__main__":

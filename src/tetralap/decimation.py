@@ -35,10 +35,10 @@ import numpy as np
 
 from .fractal_graph import (
     CELL_MIDPOINT_PAIRS,
-    Address,
     LevelCapError,
     LevelGraph,
     build_level,
+    refine,
 )
 from .energy import VertexFunction
 from . import oracle as _oracle
@@ -327,20 +327,16 @@ def eigenfunction_extend(
     g = u.graph
     if target is None:
         target = build_level(g.level + 1)
-    elif target.level != g.level + 1:
-        raise ValueError(f"target level {target.level} is not {g.level + 1}")
-
     denom = (2.0 - lambda_m) * (6.0 - lambda_m)
-    vals = np.empty(target.n_vertices)
-    for a, x in zip(g.vertices, u.values):
-        vals[target.index_of(a)] = x
-    for word, cell in zip(g.cell_words, g.cells):
-        cv = u.values[list(cell)]
-        for (i, j) in CELL_MIDPOINT_PAIRS:
+
+    def midpoints(*cv):
+        out = []
+        for i, j in CELL_MIDPOINT_PAIRS:
             k, l = (x for x in range(4) if x != i and x != j)
-            val = ((4.0 - lambda_m) * (cv[i] + cv[j]) + 2.0 * (cv[k] + cv[l])) / denom
-            vals[target.index_of(Address(word + (i,), j))] = val
-    return VertexFunction(target, vals)
+            out.append(((4.0 - lambda_m) * (cv[i] + cv[j]) + 2.0 * (cv[k] + cv[l])) / denom)
+        return out
+
+    return VertexFunction(target, refine(g, target, u.values, midpoints))
 
 
 def born_eigenbasis(

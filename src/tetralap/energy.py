@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractal_graph import (
-    CELL_MIDPOINT_PAIRS,
-    Address,
-    LevelGraph,
-    build_level,
-    embed_address,
-)
+from .fractal_graph import LETTERS, Address, LevelGraph, build_level, embed_address, refine
 
 #: Energy ratio of one harmonic-extension step: E_m = RENORMALIZATION * E_{m-1}.
 RENORMALIZATION = 2.0 / 3.0
@@ -66,14 +60,9 @@ class EnergyReport:
     normalized: float
 
 
-def _edge_arrays(g: LevelGraph) -> tuple[np.ndarray, np.ndarray]:
-    e = np.array(sorted(g.edges), dtype=int).reshape(-1, 2)
-    return e[:, 0], e[:, 1]
-
-
 def energy(u: VertexFunction) -> EnergyReport:
     """E_m(u) and its renormalization (3/2)^m E_m(u)."""
-    i, j = _edge_arrays(u.graph)
+    i, j = u.graph.edge_array.T
     diffs = u.values[i] - u.values[j]
     raw = float(np.sum(diffs * diffs))  # np.sum is pairwise: bounded rounding
     m = u.graph.level
@@ -84,12 +73,12 @@ def energy_bilinear(u: VertexFunction, v: VertexFunction) -> float:
     """E_m(u, v), the symmetric bilinear form with energy(u).raw on the diagonal."""
     if u.graph is not v.graph and u.graph.level != v.graph.level:
         raise ValueError("energy_bilinear requires functions on the same graph")
-    i, j = _edge_arrays(u.graph)
+    i, j = u.graph.edge_array.T
     return float(np.sum((u.values[i] - u.values[j]) * (v.values[i] - v.values[j])))
 
 
 def harmonic_extension_cell(a: float, b: float, c: float, d: float):
-    """Energy-minimizing midpoint values of one cell with corner values a..d."""
+    """Energy-minimizing midpoint values of one cell (elementwise on arrays)."""
     return (
         (2 * a + 2 * b + c + d) / 6.0,
         (a + 2 * b + 2 * c + d) / 6.0,
@@ -109,18 +98,7 @@ def harmonic_extend(u: VertexFunction, target: LevelGraph | None = None) -> Vert
     g = u.graph
     if target is None:
         target = build_level(g.level + 1)
-    elif target.level != g.level + 1:
-        raise ValueError(f"target level {target.level} is not {g.level + 1}")
-
-    vals = np.empty(target.n_vertices)
-    for a, x in zip(g.vertices, u.values):
-        vals[target.index_of(a)] = x
-    for word, cell in zip(g.cell_words, g.cells):
-        corners = u.values[list(cell)]
-        mids = harmonic_extension_cell(*corners)
-        for (i, j), x in zip(CELL_MIDPOINT_PAIRS, mids):
-            vals[target.index_of(Address(word + (i,), j))] = x
-    return VertexFunction(target, vals)
+    return VertexFunction(target, refine(g, target, u.values, harmonic_extension_cell))
 
 
 def harmonize(boundary, m: int, *, graphs=None) -> VertexFunction:
@@ -162,11 +140,16 @@ def cell_restriction(u: VertexFunction, letter: int, target: LevelGraph | None =
     g = u.graph
     if g.level < 1:
         raise ValueError("cell restriction needs level >= 1")
+    if letter not in LETTERS:
+        raise ValueError(f"cell letter must lie in 0..3, got {letter}")
     if target is None:
         target = build_level(g.level - 1)
-    vals = np.array(
-        [u.values[g.index_of(Address((letter,) + a.word, a.base))] for a in target.vertices]
-    )
+    elif target.level != g.level - 1:
+        raise ValueError(f"target level {target.level} is not {g.level - 1}")
+    # in product order, cell (letter,) + W of g is cell letter * n + (index of W in target)
+    n = len(target.cells)
+    vals = np.empty(target.n_vertices)
+    vals[target.cell_array] = u.values[g.cell_array[letter * n:(letter + 1) * n]]
     return VertexFunction(target, vals)
 
 

@@ -12,6 +12,7 @@ construction is exact at any depth.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -126,6 +127,20 @@ class LevelGraph:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
+    @functools.cached_property
+    def edge_array(self) -> np.ndarray:
+        """``sorted(edges)`` as a read-only (E, 2) int array, built once."""
+        e = np.array(sorted(self.edges), dtype=int)
+        e.flags.writeable = False
+        return e
+
+    @functools.cached_property
+    def cell_array(self) -> np.ndarray:
+        """``cells`` as a read-only (4^m, 4) int array, built once."""
+        c = np.array(self.cells, dtype=int)
+        c.flags.writeable = False
+        return c
+
     @property
     def interior(self) -> range:
         """Indices of V_m minus the four corners (boundary comes first)."""
@@ -205,6 +220,28 @@ def build_level(m: int, *, level_cap: int = DEFAULT_LEVEL_CAP) -> LevelGraph:
     )
 
 
+def refine(parent: LevelGraph, target: LevelGraph, values: np.ndarray, midpoints) -> np.ndarray:
+    """Values on the level-(m+1) graph from values on the level-m graph.
+
+    Parent vertices keep their values.  ``midpoints(a, b, c, d)`` maps
+    the corner-value columns of the parent cells to the six midpoint
+    columns, in CELL_MIDPOINT_PAIRS order.  Because cell words are in
+    product order, child cell 4k+i of parent cell k has corner j at
+    parent corner j when i == j and at the midpoint of parent edge
+    (i, j) otherwise.
+    """
+    if target.level != parent.level + 1:
+        raise ValueError(f"target level {target.level} is not {parent.level + 1}")
+    child = target.cell_array.reshape(-1, 4, 4)
+    corners = values[parent.cell_array]
+    out = np.empty(target.n_vertices)
+    for j in LETTERS:
+        out[child[:, j, j]] = corners[:, j]
+    for (i, j), column in zip(CELL_MIDPOINT_PAIRS, midpoints(*corners.T)):
+        out[child[:, i, j]] = column
+    return out
+
+
 def embed_address(a: Address) -> np.ndarray:
     """3D position of a vertex, by composing the midpoint maps.
 
@@ -242,7 +279,7 @@ def graph_json(g: LevelGraph) -> dict:
             }
             for i, a in enumerate(g.vertices)
         ],
-        "edges": [list(e) for e in sorted(g.edges)],
+        "edges": g.edge_array.tolist(),
     }
 
 
@@ -252,6 +289,6 @@ def graph_obj(g: LevelGraph) -> str:
     for a in g.vertices:
         x, y, z = (float(c) for c in embed_address(a))
         lines.append(f"v {x!r} {y!r} {z!r}")
-    for u, v in sorted(g.edges):
+    for u, v in g.edge_array.tolist():
         lines.append(f"l {u + 1} {v + 1}")
     return "\n".join(lines) + "\n"

@@ -91,8 +91,8 @@ def jacobi_eigen(
     """
     work = np.array(a.entries if isinstance(a, DirichletMatrix) else a, dtype=float)
     n = work.shape[0]
-    if work.shape != (n, n) or not np.allclose(work, work.T, atol=0.0):
-        raise ValueError("jacobi_eigen needs a symmetric square matrix")
+    if work.shape != (n, n) or not np.array_equal(work, work.T):
+        raise ValueError("jacobi_eigen needs an exactly symmetric square matrix")
     vee = np.eye(n)
     fro = float(np.linalg.norm(work))
     if fro == 0.0 or n == 1:

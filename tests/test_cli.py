@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism, round trips, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -158,6 +159,47 @@ def test_bad_flags_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["harmonic", "--boundary", "1,2,3", "--level", "1"])
     assert exc.value.code == 2
+
+
+def test_negative_boundary_as_separate_value(capsys):
+    _, glued, _ = run_cli(capsys, "harmonic", "--boundary=-0.3,0.7,0.1,-0.9", "--level", "1")
+    code, spaced, _ = run_cli(capsys, "harmonic", "--boundary", "-0.3,0.7,0.1,-0.9", "--level", "1")
+    assert code == 0
+    assert spaced.encode() == glued.encode()
+    code, _, _ = run_cli(capsys, "laplacian-check", "--boundary", "-1,0,0,0", "--level", "1")
+    assert code == 0
+
+
+# sha256 of documents that use only IEEE arithmetic and math.sqrt, so
+# the bytes are the same on every platform; any change to them is a
+# change in output
+PINNED_DOCUMENTS = {
+    "build-graph --level 3 --format obj":
+        "1293f83ce2415679ec271b510629a73af387bd37ae93e60b245f60188cfa57e9",
+    "build-graph --level 2 --format json":
+        "f365ebb78fbe7410bc4eb1a84a2f908cae5a7c20bdc48d34acec7fcf3a09cf33",
+    "harmonic --boundary=-0.3,0.7,0.1,-0.9 --level 6 --format csv":
+        "e15be08e9086ff8d553c49f73df74aef075d68d7de172a597a11244d5777b2ac",
+    "harmonic --boundary=0.25,-1.5,0.1,0.9 --level 5 --format json":
+        "fffdb9454984c510389d3df5034781bbc07a8b044ce20b47120b112fb321209d",
+    "spectrum --level 8 --format csv":
+        "c9e34e251591657865171eb3c7d15c775c9fd5f456bdb3348ae704d3624c6144",
+    "limit-spectrum --births 6 --count 120 --format csv":
+        "78e78f755049112d55c25a5dcbbf55a51db62d4bafb03a105ef4d96d8585e15d",
+    "counting --level 10 --format json":
+        "dadc91ae51549fdc4fe14599aa164bce8672d8511c0fea54bd465718968de56a",
+    "counting --limit --births 6 --count 100 --format json":
+        "ef8489a84df1e74fd569c6294a918477578ebfd75537746e29aa57ce8a48f7b0",
+    "laplacian-check --boundary 1,0,0,0 --level 1 --depth 3":
+        "85b2145ff1ab984648ada6f298d2e01d48c6a9d014b9d5c084045e824626dbd3",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_DOCUMENTS))
+def test_pinned_document_digests(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DOCUMENTS[argv]
 
 
 def test_unknown_vertex_exit_code(capsys):

@@ -185,6 +185,16 @@ def test_vertex_order_deterministic(graphs):
     assert g1.cells == g2.cells
 
 
+def test_array_tables_mirror_tuples_and_are_read_only(graphs):
+    for m in range(4):
+        g = graphs(m)
+        assert g.edge_array.tolist() == [list(e) for e in sorted(g.edges)]
+        assert g.cell_array.tolist() == [list(c) for c in g.cells]
+        for table in (g.edge_array, g.cell_array):
+            with pytest.raises(ValueError):
+                table[0, 0] = -1
+
+
 def test_address_string_round_trip():
     for a in (Address((), 2), Address((0, 1), 3), Address((2, 1), 3)):
         assert Address.from_string(str(a)) == a

@@ -105,6 +105,9 @@ def test_jacobi_identity_matrix():
 def test_jacobi_rejects_asymmetric():
     with pytest.raises(ValueError):
         jacobi_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # within np.allclose's default rtol, but not symmetric
+    with pytest.raises(ValueError):
+        jacobi_eigen(np.array([[2.0, 1.0], [1.0 + 1e-6, 3.0]]))
 
 
 def test_jacobi_random_symmetric_matches_lapack():

@@ -1,0 +1,92 @@
+"""The array refinement step against per-address references.
+
+Each reference walks the cells and places every value through
+``index_of(Address(...))``, the canonical-address lookup; the library
+routes the same step through the cell tables.  The two must agree bit
+for bit.
+"""
+
+import numpy as np
+import pytest
+
+from tetralap import (
+    CELL_MIDPOINT_PAIRS,
+    Address,
+    VertexFunction,
+    cell_restriction,
+    eigenfunction_extend,
+    harmonic_extend,
+    harmonic_extension_cell,
+)
+
+LEVELS = range(0, 5)
+
+
+def _reference_extend(u, target, midpoints):
+    g = u.graph
+    vals = np.full(target.n_vertices, np.nan)
+    for a, x in zip(g.vertices, u.values):
+        vals[target.index_of(a)] = x
+    for word, cell in zip(g.cell_words, g.cells):
+        mids = midpoints(*u.values[list(cell)])
+        for (i, j), x in zip(CELL_MIDPOINT_PAIRS, mids):
+            vals[target.index_of(Address(word + (i,), j))] = x
+    return vals
+
+
+def _eigen_midpoints(lam):
+    denom = (2.0 - lam) * (6.0 - lam)
+
+    def mids(*cv):
+        out = []
+        for i, j in CELL_MIDPOINT_PAIRS:
+            k, l = (x for x in range(4) if x not in (i, j))
+            out.append(((4.0 - lam) * (cv[i] + cv[j]) + 2.0 * (cv[k] + cv[l])) / denom)
+        return out
+
+    return mids
+
+
+def _random_function(g, seed):
+    return VertexFunction(g, np.random.default_rng(seed).normal(size=g.n_vertices))
+
+
+@pytest.mark.parametrize("m", LEVELS)
+def test_harmonic_extend_matches_address_reference(graphs, m):
+    u = _random_function(graphs(m), m)
+    ext = harmonic_extend(u, target=graphs(m + 1))
+    ref = _reference_extend(u, graphs(m + 1), harmonic_extension_cell)
+    assert ext.values.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("m", LEVELS)
+@pytest.mark.parametrize("lam", [0.37, 3.5, 7.25])
+def test_eigenfunction_extend_matches_address_reference(graphs, m, lam):
+    u = _random_function(graphs(m), 10 + m)
+    ext = eigenfunction_extend(u, lam, target=graphs(m + 1))
+    ref = _reference_extend(u, graphs(m + 1), _eigen_midpoints(lam))
+    assert ext.values.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("m", LEVELS)
+def test_cell_restriction_matches_address_reference(graphs, m):
+    u = _random_function(graphs(m + 1), 20 + m)
+    g, target = graphs(m + 1), graphs(m)
+    for letter in range(4):
+        sub = cell_restriction(u, letter, target=target)
+        ref = np.array(
+            [u.values[g.index_of(Address((letter,) + a.word, a.base))] for a in target.vertices]
+        )
+        assert sub.values.tobytes() == ref.tobytes()
+
+
+def test_refinement_rejects_wrong_target(graphs):
+    u = _random_function(graphs(1), 0)
+    with pytest.raises(ValueError, match="target level"):
+        harmonic_extend(u, target=graphs(3))
+    with pytest.raises(ValueError, match="target level"):
+        eigenfunction_extend(u, 1.0, target=graphs(1))
+    with pytest.raises(ValueError, match="target level"):
+        cell_restriction(_random_function(graphs(2), 0), 0, target=graphs(0))
+    with pytest.raises(ValueError):
+        cell_restriction(u, 4)
