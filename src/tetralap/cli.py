@@ -10,6 +10,7 @@ against $TETRALAP_OUTDIR when it is set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -27,9 +28,12 @@ from .laplacian import laplacian_csv, pointwise_laplacian_profile
 from .decimation import (
     DIMENSION_CONSTANTS,
     counting_csv,
+    counting_json,
     enumerate_spectrum,
     limit_spectrum,
+    limit_spectrum_csv,
     limit_spectrum_json,
+    spectrum_csv,
     spectrum_json,
     weyl_fit,
 )
@@ -77,44 +81,24 @@ def _cmd_harmonic(args: argparse.Namespace) -> str:
     return vertex_function_csv(u)
 
 
-def _spectrum_csv(table) -> str:
-    lines = ["value,multiplicity,birth_level,birth_value,branches"]
-    for r in table.records:
-        lines.append(
-            f"{r.value!r},{r.multiplicity},{r.lineage.birth_level},"
-            f"{r.lineage.birth_value!r},{r.lineage.branch_string}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_spectrum(args: argparse.Namespace) -> str:
     table = enumerate_spectrum(args.level)
     if args.format == "csv":
-        return _spectrum_csv(table)
+        return spectrum_csv(table)
     return _json_text(spectrum_json(table))
 
 
 def _cmd_limit_spectrum(args: argparse.Namespace) -> str:
     limits = limit_spectrum(args.births, args.count)
     if args.format == "csv":
-        lines = ["value,multiplicity,birth_level,birth_value,branches,generations_used"]
-        for l in limits:
-            lines.append(
-                f"{l.value!r},{l.multiplicity},{l.lineage.birth_level},"
-                f"{l.lineage.birth_value!r},{l.lineage.branch_string},{l.generations_used}"
-            )
-        return "\n".join(lines) + "\n"
+        return limit_spectrum_csv(limits)
     payload = limit_spectrum_json(limits)
     if args.fit:
         alpha, diag = weyl_fit(limits)
         payload["weyl_fit"] = {
             "alpha_hat": alpha,
             "alpha_expected": DIMENSION_CONSTANTS.weyl_alpha,
-            "n_used": diag.n_used,
-            "n_total": diag.n_total,
-            "window": list(diag.window),
-            "intercept": diag.intercept,
-            "rms_log_residual": diag.rms_log_residual,
+            **dataclasses.asdict(diag),
         }
     return _json_text(payload)
 
@@ -125,12 +109,7 @@ def _cmd_counting(args: argparse.Namespace) -> str:
     else:
         records = enumerate_spectrum(args.level)
     if args.format == "json":
-        recs = records.records if hasattr(records, "records") else records
-        counts, total = {}, 0
-        for r in sorted(recs, key=lambda r: r.value):
-            total += r.multiplicity
-            counts[r.value] = total  # the last of a tie wins: N(x) counts all of x
-        return _json_text({"points": [[r.value, counts[r.value]] for r in recs]})
+        return _json_text(counting_json(records))
     return counting_csv(records)
 
 
@@ -140,7 +119,7 @@ def _cmd_laplacian_check(args: argparse.Namespace) -> str:
     if args.vertex is not None:
         targets = [Address.from_string(args.vertex)]
     else:
-        targets = [base.vertices[v] for v in base.interior]
+        targets = base.vertices[4:]
     estimates = []
     for x in targets:
         estimates.extend(

@@ -28,6 +28,7 @@ cancellation that makes 3 - sqrt(9 - lam) lose digits as lam -> 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -429,21 +430,34 @@ def eigenfunction_family(
 # --- serialization ------------------------------------------------------
 
 
+def _record_json(r) -> dict:
+    """The fields an EigenvalueRecord and a LimitEigenvalue share."""
+    return {
+        "value": r.value,
+        "multiplicity": r.multiplicity,
+        "birth_level": r.lineage.birth_level,
+        "birth_value": r.lineage.birth_value,
+        "branches": r.lineage.branch_string,
+    }
+
+
 def spectrum_json(table: SpectrumTable) -> dict:
     return {
         "level": table.level,
         "total_multiplicity": table.total_multiplicity,
-        "records": [
-            {
-                "value": r.value,
-                "multiplicity": r.multiplicity,
-                "birth_level": r.lineage.birth_level,
-                "birth_value": r.lineage.birth_value,
-                "branches": r.lineage.branch_string,
-            }
-            for r in table.records
-        ],
+        "records": [_record_json(r) for r in table.records],
     }
+
+
+def _csv(header: str, rows) -> str:
+    """JSON-ready rows as CSV, fields in key order; floats via repr, so they round-trip."""
+    lines = [",".join(v if isinstance(v, str) else repr(v) for v in r.values()) for r in rows]
+    return "\n".join([header] + lines) + "\n"
+
+
+def spectrum_csv(table: SpectrumTable) -> str:
+    header = "value,multiplicity,birth_level,birth_value,branches"
+    return _csv(header, spectrum_json(table)["records"])
 
 
 def spectrum_from_json(data: dict) -> SpectrumTable:
@@ -466,26 +480,31 @@ def spectrum_from_json(data: dict) -> SpectrumTable:
 def limit_spectrum_json(limits) -> dict:
     return {
         "limit_eigenvalues": [
-            {
-                "value": l.value,
-                "multiplicity": l.multiplicity,
-                "birth_level": l.lineage.birth_level,
-                "birth_value": l.lineage.birth_value,
-                "branches": l.lineage.branch_string,
-                "generations_used": l.generations_used,
-            }
-            for l in limits
+            {**_record_json(l), "generations_used": l.generations_used} for l in limits
         ]
     }
+
+
+def limit_spectrum_csv(limits) -> str:
+    header = "value,multiplicity,birth_level,birth_value,branches,generations_used"
+    return _csv(header, limit_spectrum_json(limits)["limit_eigenvalues"])
+
+
+def _running_counts(records):
+    """(record, total multiplicity up to it) in ascending value order."""
+    ordered = sorted(records, key=lambda r: r.value)
+    return zip(ordered, itertools.accumulate(r.multiplicity for r in ordered))
+
+
+def counting_json(spectrum) -> dict:
+    """The counting function at each eigenvalue, in record order: {points: [[x, N(x)]]}."""
+    records = spectrum.records if isinstance(spectrum, SpectrumTable) else spectrum
+    counts = {r.value: n for r, n in _running_counts(records)}  # the last of a tie counts all of x
+    return {"points": [[r.value, counts[r.value]] for r in records]}
 
 
 def counting_csv(spectrum) -> str:
     """CSV of the counting function sampled at each eigenvalue: rows (x, N)."""
     records = spectrum.records if isinstance(spectrum, SpectrumTable) else spectrum
-    records = sorted(records, key=lambda r: r.value)
-    lines = ["x,N"]
-    total = 0
-    for r in records:
-        total += r.multiplicity
-        lines.append(f"{r.value!r},{total}")
-    return "\n".join(lines) + "\n"
+    lines = [f"{r.value!r},{n}" for r, n in _running_counts(records)]
+    return "\n".join(["x,N"] + lines) + "\n"

@@ -62,9 +62,7 @@ class EnergyReport:
 
 def energy(u: VertexFunction) -> EnergyReport:
     """E_m(u) and its renormalization (3/2)^m E_m(u)."""
-    i, j = u.graph.edge_array.T
-    diffs = u.values[i] - u.values[j]
-    raw = float(np.sum(diffs * diffs))  # np.sum is pairwise: bounded rounding
+    raw = energy_bilinear(u, u)
     m = u.graph.level
     return EnergyReport(level=m, raw=raw, normalized=1.5 ** m * raw)
 
@@ -73,7 +71,8 @@ def energy_bilinear(u: VertexFunction, v: VertexFunction) -> float:
     """E_m(u, v), the symmetric bilinear form with energy(u).raw on the diagonal."""
     if u.graph is not v.graph and u.graph.level != v.graph.level:
         raise ValueError("energy_bilinear requires functions on the same graph")
-    i, j = u.graph.edge_array.T
+    i, j = u.graph.edges.T
+    # np.sum is pairwise: bounded rounding
     return float(np.sum((u.values[i] - u.values[j]) * (v.values[i] - v.values[j])))
 
 
@@ -149,7 +148,7 @@ def cell_restriction(u: VertexFunction, letter: int, target: LevelGraph | None =
     # in product order, cell (letter,) + W of g is cell letter * n + (index of W in target)
     n = len(target.cells)
     vals = np.empty(target.n_vertices)
-    vals[target.cell_array] = u.values[g.cell_array[letter * n:(letter + 1) * n]]
+    vals[target.cells] = u.values[g.cells[letter * n:(letter + 1) * n]]
     return VertexFunction(target, vals)
 
 

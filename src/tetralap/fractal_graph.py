@@ -37,9 +37,10 @@ CORNER_COORDS = np.array(
     ]
 )
 
-#: Default construction cap. N_12 is about 3.4e7 vertices; beyond that
-#: memory use stops being predictable.
-DEFAULT_LEVEL_CAP = 12
+#: Default construction cap.  build_level peaks at 340-380 bytes per
+#: vertex (levels 8-10, each in a fresh process, by resource.getrusage),
+#: so N_11 = 8.4e6 vertices take about 3 GB and N_12 = 3.4e7 about 12 GB.
+DEFAULT_LEVEL_CAP = 11
 
 
 class LevelCapError(RuntimeError):
@@ -88,11 +89,7 @@ def canonicalize(a: Address) -> Address:
 
     Idempotent; the result embeds to the same point as the input.
     """
-    return _canon(a.word, a.base)
-
-
-def _canon(word: tuple[int, ...], base: int) -> Address:
-    w = list(word)
+    w, base = list(a.word), a.base
     while w and w[-1] == base:
         w.pop()
     if w and w[-1] > base:
@@ -108,71 +105,84 @@ class EmbeddedVertex:
 
 @dataclass(frozen=True, eq=False)
 class LevelGraph:
-    """The graph on V_m: immutable after construction.
+    """The graph on V_m, as read-only int arrays.
 
-    ``cells[k]`` lists the vertex indices of the four corners of the
-    cell with word ``cell_words[k]``, in corner order j = 0..3.
+    ``keys`` are the ascending _address_keys of the vertices, corners
+    first.  ``cells[k]`` holds the corners j = 0..3 of the cell with word
+    ``cell_words[k]``; ``edges`` the sorted (i, j) pairs with i < j; and
+    ``neighbor_idx[neighbor_ptr[v]:neighbor_ptr[v + 1]]`` the neighbors of v.
     """
 
     level: int
-    vertices: tuple[Address, ...]
-    edges: frozenset[tuple[int, int]] = field(repr=False)
-    boundary: tuple[int, int, int, int]
-    cells: tuple[tuple[int, int, int, int], ...] = field(repr=False)
-    cell_words: tuple[tuple[int, ...], ...] = field(repr=False)
-    _index: dict[Address, int] = field(repr=False)
-    _adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
+    keys: np.ndarray = field(repr=False)
+    cells: np.ndarray = field(repr=False)
+    edges: np.ndarray = field(repr=False)
+    neighbor_ptr: np.ndarray = field(repr=False)
+    neighbor_idx: np.ndarray = field(repr=False)
+    boundary = (0, 1, 2, 3)
+
+    def __post_init__(self):
+        for table in (self.keys, self.cells, self.edges, self.neighbor_ptr, self.neighbor_idx):
+            table.flags.writeable = False
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @functools.cached_property
-    def edge_array(self) -> np.ndarray:
-        """``sorted(edges)`` as a read-only (E, 2) int array, built once."""
-        e = np.array(sorted(self.edges), dtype=int)
-        e.flags.writeable = False
-        return e
-
-    @functools.cached_property
-    def cell_array(self) -> np.ndarray:
-        """``cells`` as a read-only (4^m, 4) int array, built once."""
-        c = np.array(self.cells, dtype=int)
-        c.flags.writeable = False
-        return c
+        return len(self.keys)
 
     @property
     def interior(self) -> range:
         """Indices of V_m minus the four corners (boundary comes first)."""
-        return range(4, len(self.vertices))
+        return range(4, len(self.keys))
+
+    @functools.cached_property
+    def vertices(self) -> tuple[Address, ...]:
+        """The canonical addresses, decoded from ``keys`` on first use."""
+        digits = self.keys[:, None] // 4 // 5 ** np.arange(self.level - 1, -1, -1) % 5
+        return tuple(
+            Address(tuple(d - 1 for d in row if d), base)
+            for row, base in zip(digits.tolist(), (self.keys % 4).tolist())
+        )
+
+    @functools.cached_property
+    def cell_words(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(itertools.product(LETTERS, repeat=self.level))
 
     def index_of(self, a: Address) -> int:
         """Vertex index of an address (canonicalized first)."""
-        try:
-            return self._index[canonicalize(a)]
-        except KeyError:
-            raise KeyError(f"{a} is not a vertex of the level-{self.level} graph") from None
-
-    def __contains__(self, a: Address) -> bool:
-        return canonicalize(a) in self._index
+        c = canonicalize(a)
+        if len(c.word) <= self.level:
+            key = _address_keys(np.array(c.word + (-1,) * (self.level - len(c.word))) + 1, c.base)
+            v = int(np.searchsorted(self.keys, key))
+            if v < len(self.keys) and self.keys[v] == key:
+                return v
+        raise KeyError(f"{a} is not a vertex of the level-{self.level} graph")
 
     def neighbors(self, v: int) -> list[int]:
         """Adjacent vertex indices: 6 for interior, 3 for boundary (m >= 1)."""
-        if not 0 <= v < len(self.vertices):
+        if not 0 <= v < len(self.keys):
             raise IndexError(f"vertex index {v} out of range for level {self.level}")
-        return list(self._adjacency[v])
+        return self.neighbor_idx[self.neighbor_ptr[v]:self.neighbor_ptr[v + 1]].tolist()
 
 
 def neighbors(g: LevelGraph, v: int) -> list[int]:
     return g.neighbors(v)
 
 
+def _address_keys(digits: np.ndarray, base):
+    """Int64 keys that sort canonical addresses as Address.sort_key does: the
+    ``digits`` (each word letter plus 1, then 0s) read in base 5, then the base."""
+    key = np.zeros(np.shape(base), dtype=np.int64)
+    for i in range(digits.shape[-1]):
+        key = key * 5 + digits[..., i]
+    return key * 4 + base
+
+
 def build_level(m: int, *, level_cap: int = DEFAULT_LEVEL_CAP) -> LevelGraph:
     """Construct the level-m graph.
 
-    Vertices are ordered boundary-first, then by sorted canonical
-    address, so the layout is deterministic.  Raises LevelCapError
-    beyond ``level_cap``.
+    Vertices are ordered by canonical address, which puts the boundary
+    first, so the layout is deterministic.  Raises LevelCapError beyond
+    ``level_cap``.
     """
     if m < 0:
         raise ValueError(f"level must be nonnegative, got {m}")
@@ -182,41 +192,32 @@ def build_level(m: int, *, level_cap: int = DEFAULT_LEVEL_CAP) -> LevelGraph:
             f"(~{2 * 4 ** m} vertices); raise level_cap explicitly to force"
         )
 
-    index: dict[Address, int] = {Address((), i): i for i in LETTERS}
-    cell_words = tuple(itertools.product(LETTERS, repeat=m))
-    cells_addr = []
-    fresh: set[Address] = set()
-    for word in cell_words:
-        cell = tuple(_canon(word, j) for j in LETTERS)
-        cells_addr.append(cell)
-        for a in cell:
-            if a not in index:
-                fresh.add(a)
-    for a in sorted(fresh, key=Address.sort_key):
-        index[a] = len(index)
+    # canonicalize corner j of every cell at once: the cell words are the
+    # base-4 digits of their index, in product order
+    k = np.arange(4 ** m)[:, None]
+    words = ((k[..., None] >> 2 * np.arange(m - 1, -1, -1)) & 3).astype(np.uint8)
+    base = np.arange(4)
+    trailing = np.logical_and.accumulate(words[..., ::-1] == base[:, None], axis=2).sum(axis=2)
+    digits = np.where(np.arange(m) < (m - trailing)[..., None], words + 1, 0)
+    last = (k >> 2 * trailing) & 3  # last letter after the drop; 0 if none is left
+    swap = last > base
+    c, j = np.nonzero(swap)
+    digits[c, j, m - trailing[c, j] - 1] = j + 1
+    keys, inverse = np.unique(_address_keys(digits, np.where(swap, last, base)), return_inverse=True)
+    cells = inverse.reshape(-1, 4)
 
-    vertices = tuple(index)  # insertion order: boundary first, then sorted
-    cells = tuple(tuple(index[a] for a in cell) for cell in cells_addr)
-
-    edges: set[tuple[int, int]] = set()
-    adjacency: list[set[int]] = [set() for _ in vertices]
-    for cell in cells:
-        for i in range(4):
-            for j in range(i + 1, 4):
-                u, v = cell[i], cell[j]
-                edges.add((u, v) if u < v else (v, u))
-                adjacency[u].add(v)
-                adjacency[v].add(u)
-
+    # cells share no edges, so the six corner pairs of every cell are the edge set
+    n = len(keys)
+    a, b = cells[:, [0, 0, 0, 1, 1, 2]], cells[:, [1, 2, 3, 2, 3, 3]]
+    pairs = np.sort((np.minimum(a, b) * n + np.maximum(a, b)).ravel())
+    both = np.sort(np.concatenate([pairs, pairs % n * n + pairs // n]))  # (v, w) and (w, v)
     return LevelGraph(
         level=m,
-        vertices=vertices,
-        edges=frozenset(edges),
-        boundary=(0, 1, 2, 3),
+        keys=keys,
         cells=cells,
-        cell_words=cell_words,
-        _index=index,
-        _adjacency=tuple(tuple(sorted(s)) for s in adjacency),
+        edges=np.stack([pairs // n, pairs % n], axis=1),
+        neighbor_ptr=np.searchsorted(both, np.arange(n + 1) * n),
+        neighbor_idx=both % n,
     )
 
 
@@ -232,8 +233,8 @@ def refine(parent: LevelGraph, target: LevelGraph, values: np.ndarray, midpoints
     """
     if target.level != parent.level + 1:
         raise ValueError(f"target level {target.level} is not {parent.level + 1}")
-    child = target.cell_array.reshape(-1, 4, 4)
-    corners = values[parent.cell_array]
+    child = target.cells.reshape(-1, 4, 4)
+    corners = values[parent.cells]
     out = np.empty(target.n_vertices)
     for j in LETTERS:
         out[child[:, j, j]] = corners[:, j]
@@ -279,7 +280,7 @@ def graph_json(g: LevelGraph) -> dict:
             }
             for i, a in enumerate(g.vertices)
         ],
-        "edges": g.edge_array.tolist(),
+        "edges": g.edges.tolist(),
     }
 
 
@@ -289,6 +290,6 @@ def graph_obj(g: LevelGraph) -> str:
     for a in g.vertices:
         x, y, z = (float(c) for c in embed_address(a))
         lines.append(f"v {x!r} {y!r} {z!r}")
-    for u, v in g.edge_array.tolist():
+    for u, v in g.edges.tolist():
         lines.append(f"l {u + 1} {v + 1}")
     return "\n".join(lines) + "\n"

@@ -80,31 +80,34 @@ def spline_integral(x: Address, m: int, measure: MeasureModel = UNIFORM_MEASURE)
     """Integral of the level-m harmonic bump at x: one 4^{-m}/4 slice per incident cell."""
     if not measure.is_uniform:
         raise NonUniformMeasureError("spline integrals are defined for the uniform measure")
+    x = canonicalize(x)
     if len(x.word) > m:
         raise ValueError(f"{x} is not a vertex of V_{m}")
     incident = 1 if x.is_boundary else 2
     return incident / 4.0 ** (m + 1)
 
 
-def graph_laplacian(u: VertexFunction, x: Address) -> float:
-    """Delta_m u at an interior vertex: sum of u(y) - u(x) over the 6 neighbors.
-
-    The difference form keeps constants exactly in the kernel; it equals
-    the neighbor sum minus 6 u(x).
-    """
+def _neighbor_sums(u: VertexFunction, start: int, stop: int) -> np.ndarray:
+    """Sum of u(y) - u(x) over the neighbors y of each x in start..stop-1, a range
+    of corners (3 neighbors each) or of interior vertices (6 each).  The
+    difference form keeps constants exactly in the kernel."""
     g = u.graph
-    idx = g.index_of(x)
-    if idx in g.boundary:
+    degree = 3 if stop <= 4 else 6
+    rows = g.neighbor_idx[g.neighbor_ptr[start]:g.neighbor_ptr[stop]].reshape(-1, degree)
+    return np.sum(u.values[rows] - u.values[start:stop, None], axis=1)
+
+
+def graph_laplacian(u: VertexFunction, x: Address) -> float:
+    """Delta_m u at an interior vertex: sum of u(y) - u(x) over the 6 neighbors."""
+    idx = u.graph.index_of(x)
+    if idx in u.graph.boundary:
         raise ValueError(f"graph Laplacian is defined on interior vertices only, got {x}")
-    return float(np.sum(u.values[g.neighbors(idx)] - u.values[idx]))
+    return float(_neighbor_sums(u, idx, idx + 1)[0])
 
 
 def interior_laplacian(u: VertexFunction) -> np.ndarray:
     """Delta_m u over all interior vertices, aligned with graph.interior order."""
-    g = u.graph
-    return np.array(
-        [np.sum(u.values[g.neighbors(v)] - u.values[v]) for v in g.interior]
-    )
+    return _neighbor_sums(u, 4, u.graph.n_vertices)
 
 
 def pointwise_laplacian(
@@ -140,9 +143,10 @@ def pointwise_laplacian_profile(u_source, x: Address, levels) -> list[LaplacianE
 def normal_derivative(u_source, x: Address, k: int) -> NormalDerivativeEstimate:
     """Boundary-flux estimate (3/2)^k * sum over level-k neighbors of u(x) - u(y)."""
     u = u_source(k)
-    g = u.graph
-    idx = g.index_of(x)
-    flux = float(np.sum(u.values[idx] - u.values[g.neighbors(idx)]))
+    if u.graph.level != k:
+        raise ValueError(f"u_source({k}) returned a level-{u.graph.level} function")
+    idx = u.graph.index_of(x)
+    flux = -float(_neighbor_sums(u, idx, idx + 1)[0])
     return NormalDerivativeEstimate(vertex=canonicalize(x), level=k, value=1.5 ** k * flux)
 
 
@@ -157,13 +161,8 @@ def gauss_green_residual(u: VertexFunction, v: VertexFunction) -> float:
         raise ValueError("gauss_green_residual requires functions on the same graph")
     scale = 1.5 ** g.level
     lhs = scale * energy_bilinear(u, v)
-    interior_term = -scale * float(
-        np.sum(v.values[list(g.interior)] * interior_laplacian(u))
-    )
-    boundary_term = 0.0
-    for b in g.boundary:
-        flux = float(np.sum(u.values[b] - u.values[g.neighbors(b)]))
-        boundary_term += scale * v.values[b] * flux
+    interior_term = -scale * float(np.sum(v.values[4:] * interior_laplacian(u)))
+    boundary_term = float(np.sum(scale * v.values[:4] * -_neighbor_sums(u, 0, 4)))
     return lhs - (interior_term + boundary_term)
 
 

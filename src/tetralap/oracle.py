@@ -63,9 +63,8 @@ def assemble(m: int, *, graph: LevelGraph | None = None, level_cap: int = ORACLE
         raise ValueError(f"graph level {g.level} does not match requested level {m}")
     n = g.n_vertices - 4
     a = 6.0 * np.eye(n)
-    for u, v in g.edges:
-        if u >= 4 and v >= 4:
-            a[u - 4, v - 4] = a[v - 4, u - 4] = -1.0
+    i, j = (g.edges[g.edges[:, 0] >= 4] - 4).T  # edges are (i, j) with i < j
+    a[i, j] = a[j, i] = -1.0
     return DirichletMatrix(level=m, entries=a)
 
 

@@ -178,6 +178,8 @@ PINNED_DOCUMENTS = {
         "1293f83ce2415679ec271b510629a73af387bd37ae93e60b245f60188cfa57e9",
     "build-graph --level 2 --format json":
         "f365ebb78fbe7410bc4eb1a84a2f908cae5a7c20bdc48d34acec7fcf3a09cf33",
+    "build-graph --level 5 --format obj":
+        "305968813fe4cf31dc7952c4f535be20427fe3b561d97d2eb63c3fa7deb6294c",
     "harmonic --boundary=-0.3,0.7,0.1,-0.9 --level 6 --format csv":
         "e15be08e9086ff8d553c49f73df74aef075d68d7de172a597a11244d5777b2ac",
     "harmonic --boundary=0.25,-1.5,0.1,0.9 --level 5 --format json":
@@ -192,6 +194,8 @@ PINNED_DOCUMENTS = {
         "ef8489a84df1e74fd569c6294a918477578ebfd75537746e29aa57ce8a48f7b0",
     "laplacian-check --boundary 1,0,0,0 --level 1 --depth 3":
         "85b2145ff1ab984648ada6f298d2e01d48c6a9d014b9d5c084045e824626dbd3",
+    "laplacian-check --boundary=0.3,-0.7,0.2,0.9 --level 2 --depth 3":
+        "55dd53bdf7af812a6291ef5e32d00bba2f6304a77afaa63709ded30ccc0ff0e2",
 }
 
 

@@ -8,6 +8,7 @@ Core claims:
     - V_{m-1} sits inside V_m as the shorter-word addresses
 """
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -112,7 +113,7 @@ def test_cells_share_vertices_never_edges(graphs):
                 e = tuple(sorted((cell[i], cell[j])))
                 assert e not in seen
                 seen.add(e)
-    assert seen == set(g.edges)
+    assert seen == set(map(tuple, g.edges.tolist()))
 
 
 def test_invalid_vertex_index_raises(graphs):
@@ -182,17 +183,58 @@ def test_vertex_sets_nest(graphs):
 def test_vertex_order_deterministic(graphs):
     g1, g2 = graphs(2), build_level(2)
     assert g1.vertices == g2.vertices
-    assert g1.cells == g2.cells
+    assert np.array_equal(g1.cells, g2.cells)
 
 
 def test_array_tables_mirror_tuples_and_are_read_only(graphs):
     for m in range(4):
         g = graphs(m)
-        assert g.edge_array.tolist() == [list(e) for e in sorted(g.edges)]
-        assert g.cell_array.tolist() == [list(c) for c in g.cells]
-        for table in (g.edge_array, g.cell_array):
+        pairs = {
+            (min(c[i], c[j]), max(c[i], c[j]))
+            for c in g.cells.tolist()
+            for i in range(4)
+            for j in range(i + 1, 4)
+        }
+        assert g.edges.tolist() == [list(e) for e in sorted(pairs)]
+        for table in (g.edges, g.cells):
             with pytest.raises(ValueError):
                 table[0, 0] = -1
+
+
+def _reference_build(m):
+    """The per-address construction: canonicalize each cell corner, number
+    the fresh addresses in sorted order after the corners, then collect the
+    edge set and the sorted adjacency from the cells."""
+    index = {Address((), i): i for i in range(4)}
+    words = list(itertools.product(range(4), repeat=m))
+    cells_addr = [[canonicalize(Address(word, j)) for j in range(4)] for word in words]
+    fresh = {a for cell in cells_addr for a in cell if a not in index}
+    for a in sorted(fresh, key=Address.sort_key):
+        index[a] = len(index)
+    cells = [[index[a] for a in cell] for cell in cells_addr]
+    edges, adjacency = set(), [set() for _ in index]
+    for cell in cells:
+        for i in range(4):
+            for j in range(i + 1, 4):
+                u, v = cell[i], cell[j]
+                edges.add((min(u, v), max(u, v)))
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+    return list(index), words, cells, sorted(edges), [sorted(s) for s in adjacency]
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_array_tables_match_address_reference(graphs, m):
+    vertices, words, cells, edges, adjacency = _reference_build(m)
+    g = graphs(m)
+    assert list(g.vertices) == vertices
+    assert list(g.cell_words) == words
+    assert g.cells.tolist() == cells
+    assert list(map(tuple, g.edges.tolist())) == edges
+    assert [g.neighbors(v) for v in range(g.n_vertices)] == adjacency
+    assert [g.index_of(a) for a in vertices] == list(range(len(vertices)))
+    with pytest.raises(KeyError):
+        g.index_of(Address((0,) * m + (1,), 2))  # born at level m + 1
 
 
 def test_address_string_round_trip():

@@ -61,6 +61,10 @@ def test_word_measure_non_uniform():
 def test_spline_integral_values():
     assert spline_integral(Address((0,), 1), 1) == 2.0 / 16.0
     assert spline_integral(Address((), 2), 1) == 1.0 / 16.0
+    # non-canonical spellings: (1,):1 and (1,1):1 are the corner P_1
+    assert spline_integral(Address((1,), 1), 1) == 1.0 / 16.0
+    assert spline_integral(Address((1, 1), 1), 1) == 1.0 / 16.0
+    assert spline_integral(Address((1, 0), 0), 1) == 2.0 / 16.0
     for m in (1, 2, 3):
         interior = spline_integral(Address((0,), 1), m)
         assert interior == 2.0 / 4.0 ** (m + 1)
@@ -137,13 +141,21 @@ def test_laplacian_linearity(graphs):
     )
 
 
-def test_interior_laplacian_alignment(graphs):
+@pytest.mark.parametrize("m", range(1, 6))
+def test_interior_laplacian_alignment(graphs, m):
     rng = np.random.default_rng(22)
-    g = graphs(2)
-    u = VertexFunction(g, rng.normal(size=g.n_vertices))
+    g = graphs(m)
+    # magnitudes from 1e-5 to 1e5 with both signs, so any change in the
+    # order of the neighbor sum shows in the last bits
+    signs = rng.choice([-1.0, 1.0], size=g.n_vertices)
+    u = VertexFunction(g, signs * 10.0 ** rng.uniform(-5.0, 5.0, size=g.n_vertices))
     vec = interior_laplacian(u)
     for k, v in enumerate(g.interior):
         assert vec[k] == graph_laplacian(u, g.vertices[v])
+        assert vec[k] == np.sum(u.values[g.neighbors(v)] - u.values[v])
+    for b in g.boundary:
+        flux = np.sum(u.values[b] - u.values[g.neighbors(b)])
+        assert normal_derivative(lambda k: u, g.vertices[b], m).value == 1.5 ** m * flux
 
 
 # --- pointwise estimates -----------------------------------------------------
@@ -216,6 +228,15 @@ def test_normal_derivatives_sum_to_zero_for_harmonic():
                 normal_derivative(fam, Address((), i), k).value for i in range(4)
             )
             assert total == pytest.approx(0.0, abs=1e-12)
+
+
+def test_normal_derivative_rejects_wrong_level_source():
+    u7 = harmonize((1, 0, 0, 0), 7)
+    with pytest.raises(ValueError):
+        normal_derivative(lambda k: u7, Address((), 0), 3)
+    with pytest.raises(ValueError):
+        pointwise_laplacian(lambda k: u7, Address((0,), 1), 3)
+    assert normal_derivative(lambda k: u7, Address((), 0), 7).value == pytest.approx(3.0)
 
 
 def test_normal_derivative_at_interior_vertex_uses_six_neighbors(graphs):
