@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,24 +65,20 @@ class Lineage:
 
     birth_level: int
     birth_value: float
-    branches: tuple[str, ...] = ()
+    branches: str = ""
 
     def __post_init__(self):
         if self.birth_value not in FORBIDDEN_VALUES:
             raise ValueError(f"birth value must be one of {FORBIDDEN_VALUES}")
-        if any(b not in (MINUS, PLUS) for b in self.branches):
-            raise ValueError("branches must be '-' or '+'")
+        if not isinstance(self.branches, str) or self.branches.strip(MINUS + PLUS):
+            raise ValueError(f"branches must be a string of '-' and '+', got {self.branches!r}")
 
     @property
     def level(self) -> int:
         return self.birth_level + len(self.branches)
 
-    @property
-    def branch_string(self) -> str:
-        return "".join(self.branches)
-
     def extended(self, branch: str) -> "Lineage":
-        return replace(self, branches=self.branches + (branch,))
+        return Lineage(self.birth_level, self.birth_value, self.branches + branch)
 
 
 @dataclass(frozen=True)
@@ -151,20 +147,24 @@ def decimate_down(lam_m: float) -> float:
     return lam_m * (6.0 - lam_m)
 
 
+def _child(lam_prev: float, branch: str) -> float:
+    """The child 3 -/+ sqrt(9 - lam) of a parent value lam <= 9 on one branch."""
+    root = math.sqrt(9.0 - lam_prev)
+    return lam_prev / (3.0 + root) if branch == MINUS else 3.0 + root
+
+
 def decimate_up(lam_prev: float) -> tuple[float, float]:
     """Both children (3 - sqrt(9 - lam), 3 + sqrt(9 - lam)) of a parent value."""
     if lam_prev > 9.0:
         raise ValueError(f"decimate_up needs lam <= 9, got {lam_prev}")
-    root = math.sqrt(9.0 - lam_prev)
-    return lam_prev / (3.0 + root), 3.0 + root
+    return _child(lam_prev, MINUS), _child(lam_prev, PLUS)
 
 
 def lineage_value(lineage: Lineage) -> float:
     """Eigenvalue at lineage.level, replayed from the birth value."""
     lam = lineage.birth_value
     for branch in lineage.branches:
-        lo, hi = decimate_up(lam)
-        lam = lo if branch == MINUS else hi
+        lam = _child(lam, branch)
     return lam
 
 
@@ -198,41 +198,34 @@ def enumerate_spectrum(m: int, *, level_cap: int = SPECTRUM_LEVEL_CAP) -> Spectr
     for k in range(2, m + 1):
         nxt = []
         for rec in records:
-            lo, hi = decimate_up(rec.value)
-            if rec.value != 8.0:
-                # the minus child of 8 is 2, which has no eigenfunction
-                # at levels >= 2; every other record keeps both branches
-                nxt.append(
-                    EigenvalueRecord(k, lo, rec.multiplicity, rec.lineage.extended(MINUS))
-                )
-            nxt.append(
-                EigenvalueRecord(k, hi, rec.multiplicity, rec.lineage.extended(PLUS))
-            )
+            # the minus child of 8 is 2, which has no eigenfunction at
+            # levels >= 2; every other record keeps both branches
+            for branch in (PLUS,) if rec.value == 8.0 else (MINUS, PLUS):
+                nxt.append(EigenvalueRecord(
+                    k, _child(rec.value, branch), rec.multiplicity, rec.lineage.extended(branch)
+                ))
         nxt.extend(_born_records(k))
         records = nxt
     records.sort(key=lambda r: r.value)
     return SpectrumTable(level=m, records=tuple(records))
 
 
-def limit_eigenvalue(
-    record: EigenvalueRecord,
-    *,
-    rel_tol: float = LIMIT_REL_TOL,
-    generation_cap: int = LIMIT_GENERATION_CAP,
-) -> LimitEigenvalue:
-    """Continue a graph record all-minus and renormalize to the limit operator."""
+def limit_eigenvalue(record: EigenvalueRecord) -> LimitEigenvalue:
+    """Continue a graph record all-minus and renormalize to the limit operator;
+    ValueError if LIMIT_GENERATION_CAP generations do not reach LIMIT_REL_TOL."""
     lam = record.value
     power = 6.0 ** record.level
     prev = 2.0 * power * lam
-    for gen in range(record.level + 1, record.level + generation_cap + 1):
-        lam = lam / (3.0 + math.sqrt(9.0 - lam))
+    for gen in range(record.level + 1, record.level + LIMIT_GENERATION_CAP + 1):
+        lam = _child(lam, MINUS)
         power *= 6.0
         cur = 2.0 * power * lam
-        if abs(cur - prev) <= rel_tol * abs(cur):
+        if abs(cur - prev) <= LIMIT_REL_TOL * abs(cur):
             return LimitEigenvalue(record.lineage, cur, record.multiplicity, gen)
         prev = cur
-    return LimitEigenvalue(
-        record.lineage, prev, record.multiplicity, record.level + generation_cap
+    raise ValueError(
+        f"the limit of {record.lineage} did not converge within "
+        f"LIMIT_GENERATION_CAP = {LIMIT_GENERATION_CAP} generations"
     )
 
 
@@ -374,24 +367,10 @@ def lineage_eigenfunction(
     decompositions: dict[int, _oracle.EigenDecomposition] | None = None,
     member: int = 0,
 ) -> VertexFunction:
-    """One eigenfunction realizing a lineage at its level.
-
-    Starts from the ``member``-th kernel vector at the birth level and
-    replays the recorded branch values through eigenfunction_extend.
-    """
-    lookup = graphs or {}
-    birth_graph = lookup.get(lineage.birth_level)
-    decomp = (decompositions or {}).get(lineage.birth_level)
-    basis = born_eigenbasis(
-        lineage.birth_level, lineage.birth_value, graph=birth_graph, decomposition=decomp
-    )
-    u = basis[member]
-    lam = lineage.birth_value
-    for branch in lineage.branches:
-        lo, hi = decimate_up(lam)
-        lam = lo if branch == MINUS else hi
-        u = eigenfunction_extend(u, lam, target=lookup.get(u.graph.level + 1))
-    return u
+    """One eigenfunction realizing a lineage at its level: its family there."""
+    return eigenfunction_family(
+        lineage, graphs=graphs, decompositions=decompositions, member=member
+    )(lineage.level)
 
 
 def eigenfunction_family(
@@ -403,26 +382,28 @@ def eigenfunction_family(
 ):
     """level -> VertexFunction continuing a lineage all-minus, cached.
 
-    Levels above lineage.level follow the minus branch, matching the
+    Starts from the ``member``-th kernel vector at the birth level and
+    extends it through eigenfunction_extend along the recorded branches;
+    levels above lineage.level follow the minus branch, matching the
     limit eigenvalue of limit_eigenvalue for the same lineage.
     """
     lookup = graphs or {}
-    base = lineage_eigenfunction(
-        lineage, graphs=graphs, decompositions=decompositions, member=member
+    birth = lineage.birth_level
+    basis = born_eigenbasis(
+        birth, lineage.birth_value,
+        graph=lookup.get(birth), decomposition=(decompositions or {}).get(birth),
     )
-    cache = {lineage.level: base}
-    lams = {lineage.level: lineage_value(lineage)}
+    cache = {birth: (basis[member], lineage.birth_value)}
 
     def at_level(m: int) -> VertexFunction:
         if m < lineage.level:
             raise ValueError(f"lineage starts at level {lineage.level}, got {m}")
-        top = max(cache)
-        for k in range(top + 1, m + 1):
-            lams[k], _ = decimate_up(lams[k - 1])
-            cache[k] = eigenfunction_extend(
-                cache[k - 1], lams[k], target=lookup.get(k)
-            )
-        return cache[m]
+        path = lineage.branches + MINUS * (m - lineage.level)
+        for k in range(max(cache), m):
+            u, lam = cache[k]
+            lam = _child(lam, path[k - birth])
+            cache[k + 1] = (eigenfunction_extend(u, lam, target=lookup.get(k + 1)), lam)
+        return cache[m][0]
 
     return at_level
 
@@ -437,7 +418,7 @@ def _record_json(r) -> dict:
         "multiplicity": r.multiplicity,
         "birth_level": r.lineage.birth_level,
         "birth_value": r.lineage.birth_value,
-        "branches": r.lineage.branch_string,
+        "branches": r.lineage.branches,
     }
 
 
@@ -461,6 +442,7 @@ def spectrum_csv(table: SpectrumTable) -> str:
 
 
 def spectrum_from_json(data: dict) -> SpectrumTable:
+    """Inverse of spectrum_json; ValueError when the document contradicts itself."""
     records = tuple(
         EigenvalueRecord(
             level=data["level"],
@@ -469,12 +451,19 @@ def spectrum_from_json(data: dict) -> SpectrumTable:
             lineage=Lineage(
                 birth_level=r["birth_level"],
                 birth_value=r["birth_value"],
-                branches=tuple(r["branches"]),
+                branches=r["branches"],
             ),
         )
         for r in data["records"]
     )
-    return SpectrumTable(level=data["level"], records=records)
+    table = SpectrumTable(level=data["level"], records=records)
+    for i, r in enumerate(records):
+        if r.lineage.level != table.level:
+            raise ValueError(f"record {i}: {r.lineage} does not end at level {table.level}")
+    stated = data["total_multiplicity"]
+    if table.total_multiplicity != stated:
+        raise ValueError(f"multiplicities add up to {table.total_multiplicity}, not {stated}")
+    return table
 
 
 def limit_spectrum_json(limits) -> dict:

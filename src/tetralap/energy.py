@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractal_graph import LETTERS, Address, LevelGraph, build_level, embed_address, refine
+from .fractal_graph import LETTERS, Address, LevelGraph, build_level, refine, vertex_coords
 
 #: Energy ratio of one harmonic-extension step: E_m = RENORMALIZATION * E_{m-1}.
 RENORMALIZATION = 2.0 / 3.0
@@ -155,7 +155,6 @@ def cell_restriction(u: VertexFunction, letter: int, target: LevelGraph | None =
 def vertex_function_csv(u: VertexFunction) -> str:
     """CSV rows (address, x, y, z, value); floats serialized round-trip."""
     lines = ["address,x,y,z,value"]
-    for a, val in zip(u.graph.vertices, u.values):
-        x, y, z = (float(c) for c in embed_address(a))
+    for a, (x, y, z), val in zip(u.graph.vertices, vertex_coords(u.graph).tolist(), u.values):
         lines.append(f"{a},{x!r},{y!r},{z!r},{float(val)!r}")
     return "\n".join(lines) + "\n"

@@ -256,9 +256,19 @@ def embed_address(a: Address) -> np.ndarray:
     return x
 
 
+def vertex_coords(g: LevelGraph) -> np.ndarray:
+    """(N, 3) positions of all vertices, equal bit for bit to embed_address of each."""
+    x = CORNER_COORDS[g.keys % 4]
+    word = g.keys // 4
+    for _ in range(g.level):  # the key's base-5 word digits, last letter first
+        word, d = np.divmod(word, 5)
+        x = np.where(d[:, None] > 0, (x + CORNER_COORDS[d - 1]) / 2.0, x)
+    return x
+
+
 def embed(g: LevelGraph) -> list[EmbeddedVertex]:
     return [
-        EmbeddedVertex(a, tuple(float(c) for c in embed_address(a))) for a in g.vertices
+        EmbeddedVertex(a, tuple(xyz)) for a, xyz in zip(g.vertices, vertex_coords(g).tolist())
     ]
 
 
@@ -276,9 +286,9 @@ def graph_json(g: LevelGraph) -> dict:
                 "id": i,
                 "word": list(a.word),
                 "base": a.base,
-                "xyz": [float(c) for c in embed_address(a)],
+                "xyz": xyz,
             }
-            for i, a in enumerate(g.vertices)
+            for i, (a, xyz) in enumerate(zip(g.vertices, vertex_coords(g).tolist()))
         ],
         "edges": g.edges.tolist(),
     }
@@ -287,8 +297,7 @@ def graph_json(g: LevelGraph) -> dict:
 def graph_obj(g: LevelGraph) -> str:
     """Wireframe OBJ: one ``v`` per vertex, one ``l`` per edge (1-indexed)."""
     lines = [f"# sierpinski tetrahedron level {g.level}"]
-    for a in g.vertices:
-        x, y, z = (float(c) for c in embed_address(a))
+    for x, y, z in vertex_coords(g).tolist():
         lines.append(f"v {x!r} {y!r} {z!r}")
     for u, v in g.edges.tolist():
         lines.append(f"l {u + 1} {v + 1}")

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from tetralap import spectrum_from_json, enumerate_spectrum
+from tetralap import decimation, spectrum_from_json, enumerate_spectrum
 from tetralap.cli import main
 
 
@@ -155,6 +155,18 @@ def test_domain_error_exit_code(capsys):
     assert "lineages" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    "limit-spectrum --births 3 --count 5",
+    "counting --limit --births 3 --count 5",
+])
+def test_unconverged_limit_exit_code(capsys, monkeypatch, argv):
+    monkeypatch.setattr(decimation, "LIMIT_GENERATION_CAP", 2)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 3
+    assert out == ""
+    assert "LIMIT_GENERATION_CAP = 2" in json.loads(err)["error"]["message"]
+
+
 def test_bad_flags_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["harmonic", "--boundary", "1,2,3", "--level", "1"])
@@ -184,14 +196,20 @@ PINNED_DOCUMENTS = {
         "e15be08e9086ff8d553c49f73df74aef075d68d7de172a597a11244d5777b2ac",
     "harmonic --boundary=0.25,-1.5,0.1,0.9 --level 5 --format json":
         "fffdb9454984c510389d3df5034781bbc07a8b044ce20b47120b112fb321209d",
+    "spectrum --level 8":
+        "33c06d66d4fde5baa9e20f1a94fb0c9686b194cdd367e7186b31128bfcaf2d74",
     "spectrum --level 8 --format csv":
         "c9e34e251591657865171eb3c7d15c775c9fd5f456bdb3348ae704d3624c6144",
     "limit-spectrum --births 6 --count 120 --format csv":
         "78e78f755049112d55c25a5dcbbf55a51db62d4bafb03a105ef4d96d8585e15d",
+    "limit-spectrum --births 8 --count 500 --fit":
+        "9d812456ce2242eb7fb9152e80e11dec539bc978a79f392ada629876b8cdc711",
     "counting --level 10 --format json":
         "dadc91ae51549fdc4fe14599aa164bce8672d8511c0fea54bd465718968de56a",
     "counting --limit --births 6 --count 100 --format json":
         "ef8489a84df1e74fd569c6294a918477578ebfd75537746e29aa57ce8a48f7b0",
+    "counting --limit --births 8 --count 500":
+        "e5d5379ad940bfc37bbbce0ecee0a0c3233db325824882265aec0f174b2e61ff",
     "laplacian-check --boundary 1,0,0,0 --level 1 --depth 3":
         "85b2145ff1ab984648ada6f298d2e01d48c6a9d014b9d5c084045e824626dbd3",
     "laplacian-check --boundary=0.3,-0.7,0.2,0.9 --level 2 --depth 3":

@@ -31,6 +31,7 @@ from tetralap import (
     decimate_down,
     decimate_up,
     eigenfunction_extend,
+    eigenfunction_family,
     enumerate_spectrum,
     interior_laplacian,
     limit_eigenvalue,
@@ -41,6 +42,7 @@ from tetralap import (
     spectrum_json,
     weyl_fit,
 )
+from tetralap import decimation
 from tetralap.decimation import LimitEigenvalue, EigenvalueRecord
 
 SQRT3 = math.sqrt(3.0)
@@ -164,6 +166,19 @@ def test_no_value_two_beyond_level_one():
             assert abs(r.value - 2.0) > 1e-9
 
 
+def test_lineage_branches_are_one_string():
+    lineage = Lineage(1, 2.0).extended("-").extended("+")
+    assert lineage.branches == "-+"
+    assert lineage.level == 3
+    assert lineage_value(lineage) == decimate_up(decimate_up(2.0)[0])[1]
+
+
+@pytest.mark.parametrize("branches", ["-x", ("-",), "+ "])
+def test_lineage_rejects_malformed_branches(branches):
+    with pytest.raises(ValueError):
+        Lineage(1, 2.0, branches)
+
+
 def test_spectrum_level_cap():
     with pytest.raises(LevelCapError):
         enumerate_spectrum(16)
@@ -238,6 +253,13 @@ def test_scaled_graph_values_approach_limit():
         prev_gap = gap
 
 
+def test_limit_eigenvalue_raises_at_generation_cap(monkeypatch):
+    assert limit_eigenvalue(_record(2.0, 1)).generations_used > 3
+    monkeypatch.setattr(decimation, "LIMIT_GENERATION_CAP", 2)
+    with pytest.raises(ValueError, match="LIMIT_GENERATION_CAP = 2"):
+        limit_eigenvalue(_record(2.0, 1))
+
+
 def test_dimension_constants_identity():
     from tetralap import DIMENSION_CONSTANTS as c
 
@@ -275,7 +297,7 @@ def test_plus_branch_strictly_increases_limits():
     for (bl, bv, branches), rec in by_lineage.items():
         if not branches:
             continue
-        minimal = ("-",) * len(branches) if bv != 8.0 else ("+",) + ("-",) * (len(branches) - 1)
+        minimal = "-" * len(branches) if bv != 8.0 else "+" + "-" * (len(branches) - 1)
         if branches == minimal:
             continue
         base = by_lineage[(bl, bv, minimal)]
@@ -332,6 +354,26 @@ def test_lineage_eigenfunction_residuals(graphs, oracle_decomps):
             continue
         u = lineage_eigenfunction(rec.lineage, graphs=lookup, decompositions=decomps)
         assert _residual(u, rec.value) <= 1e-9 * np.max(np.abs(u.values))
+
+
+def test_lineage_eigenfunction_is_its_family_at_its_level(graphs, oracle_decomps):
+    decomps = {1: oracle_decomps(1)}
+    lookup = {m: graphs(m) for m in range(5)}
+    for lineage in (Lineage(1, 2.0), Lineage(1, 6.0, "-+"), Lineage(1, 8.0, "+-")):
+        u = lineage_eigenfunction(lineage, graphs=lookup, decompositions=decomps, member=0)
+        family = eigenfunction_family(lineage, graphs=lookup, decompositions=decomps, member=0)
+        assert np.array_equal(u.values, family(lineage.level).values)
+
+
+def test_family_continues_on_the_minus_branch(graphs, oracle_decomps):
+    lineage = Lineage(1, 6.0, "+")
+    lookup = {m: graphs(m) for m in range(5)}
+    family = eigenfunction_family(lineage, graphs=lookup, decompositions={1: oracle_decomps(1)})
+    u, lam = family(lineage.level), lineage_value(lineage)
+    for k in (lineage.level + 1, lineage.level + 2):
+        lam = decimate_up(lam)[0]
+        u = eigenfunction_extend(u, lam, target=graphs(k))
+    assert np.array_equal(family(lineage.level + 2).values, u.values)
 
 
 def test_born_eigenbasis_dimensions(graphs, oracle_decomps):
@@ -407,6 +449,18 @@ def test_weyl_fit_needs_data():
 def test_spectrum_json_round_trip():
     table = enumerate_spectrum(3)
     assert spectrum_from_json(spectrum_json(table)) == table
+
+
+def test_spectrum_from_json_rejects_contradictions():
+    record = {"value": 1.0, "multiplicity": 1, "birth_level": 1, "birth_value": 2.0,
+              "branches": "-"}
+    with pytest.raises(ValueError, match="level 3"):
+        spectrum_from_json({"level": 3, "total_multiplicity": 1, "records": [record]})
+    with pytest.raises(ValueError, match="99"):
+        spectrum_from_json({"level": 2, "total_multiplicity": 99, "records": [record]})
+    assert spectrum_from_json(
+        {"level": 2, "total_multiplicity": 1, "records": [record]}
+    ).total_multiplicity == 1
 
 
 def test_spectrum_json_fields():

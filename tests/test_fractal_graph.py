@@ -25,6 +25,7 @@ from tetralap import (
     graph_json,
     graph_obj,
     neighbors,
+    vertex_coords,
 )
 
 
@@ -273,6 +274,14 @@ def test_embed_level2_composition():
     composed = (CORNER_COORDS[3] + CORNER_COORDS[0]) / 2.0
     composed = (composed + CORNER_COORDS[2]) / 2.0
     assert np.array_equal(direct, composed)
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_vertex_coords_match_embed_address(graphs, m):
+    g = graphs(m)
+    reference = np.array([embed_address(a) for a in g.vertices])
+    assert vertex_coords(g).shape == (g.n_vertices, 3)
+    assert np.array_equal(vertex_coords(g), reference)
 
 
 def test_cell_midpoint_relation_all_edges(graphs):
