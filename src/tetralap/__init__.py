@@ -6,22 +6,18 @@ from .fractal_graph import (
     Address,
     CELL_MIDPOINT_PAIRS,
     CORNER_COORDS,
-    EmbeddedVertex,
     LevelCapError,
     LevelGraph,
     build_level,
     canonicalize,
-    embed,
     embed_address,
     expected_vertex_count,
     graph_json,
     graph_obj,
-    neighbors,
     vertex_coords,
 )
 from .energy import (
     EnergyReport,
-    RENORMALIZATION,
     VertexFunction,
     cell_restriction,
     energy,
@@ -34,17 +30,13 @@ from .energy import (
 )
 from .laplacian import (
     LaplacianEstimate,
-    MeasureModel,
-    NonUniformMeasureError,
     NormalDerivativeEstimate,
-    UNIFORM_MEASURE,
     gauss_green_residual,
     graph_laplacian,
     interior_laplacian,
     laplacian_csv,
     normal_derivative,
     pointwise_laplacian,
-    pointwise_laplacian_profile,
     spline_integral,
 )
 from .decimation import (
@@ -83,7 +75,6 @@ from .oracle import (
     JacobiConvergenceError,
     assemble,
     eigenvalue_multiset,
-    eigenvalues_csv,
     jacobi_eigen,
     kernel_dimension,
 )

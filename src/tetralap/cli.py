@@ -24,7 +24,7 @@ from .fractal_graph import (
     graph_obj,
 )
 from .energy import harmonic_family, harmonize, vertex_function_csv
-from .laplacian import laplacian_csv, pointwise_laplacian_profile
+from .laplacian import laplacian_csv, pointwise_laplacian
 from .decimation import (
     DIMENSION_CONSTANTS,
     counting_csv,
@@ -114,17 +114,16 @@ def _cmd_counting(args: argparse.Namespace) -> str:
 
 
 def _cmd_laplacian_check(args: argparse.Namespace) -> str:
+    if args.depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {args.depth}")
     u = harmonic_family(args.boundary)
     base = build_level(args.level)
     if args.vertex is not None:
         targets = [Address.from_string(args.vertex)]
     else:
         targets = base.vertices[4:]
-    estimates = []
-    for x in targets:
-        estimates.extend(
-            pointwise_laplacian_profile(u, x, range(args.level, args.level + args.depth + 1))
-        )
+    levels = range(args.level, args.level + args.depth + 1)
+    estimates = [pointwise_laplacian(u, x, m) for x in targets for m in levels]
     estimates.sort(key=lambda e: (e.level, str(e.vertex)))
     return laplacian_csv(estimates)
 

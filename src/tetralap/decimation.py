@@ -70,6 +70,10 @@ class Lineage:
     def __post_init__(self):
         if self.birth_value not in FORBIDDEN_VALUES:
             raise ValueError(f"birth value must be one of {FORBIDDEN_VALUES}")
+        if self.birth_level < 1 or (self.birth_value == 2.0 and self.birth_level != 1):
+            raise ValueError(
+                f"no eigenvalue {self.birth_value} is born at level {self.birth_level}"
+            )
         if not isinstance(self.branches, str) or self.branches.strip(MINUS + PLUS):
             raise ValueError(f"branches must be a string of '-' and '+', got {self.branches!r}")
 
@@ -83,10 +87,13 @@ class Lineage:
 
 @dataclass(frozen=True)
 class EigenvalueRecord:
-    level: int
     value: float
     multiplicity: int
     lineage: Lineage
+
+    @property
+    def level(self) -> int:
+        return self.lineage.level
 
 
 @dataclass(frozen=True)
@@ -182,7 +189,7 @@ def born_multiplicities(m: int) -> dict[int, int]:
 def _born_records(m: int) -> list[EigenvalueRecord]:
     mults = born_multiplicities(m)
     return [
-        EigenvalueRecord(m, float(v), mults[v], Lineage(m, float(v)))
+        EigenvalueRecord(float(v), mults[v], Lineage(m, float(v)))
         for v in (2, 6, 8)
         if mults[v] > 0
     ]
@@ -202,7 +209,7 @@ def enumerate_spectrum(m: int, *, level_cap: int = SPECTRUM_LEVEL_CAP) -> Spectr
             # levels >= 2; every other record keeps both branches
             for branch in (PLUS,) if rec.value == 8.0 else (MINUS, PLUS):
                 nxt.append(EigenvalueRecord(
-                    k, _child(rec.value, branch), rec.multiplicity, rec.lineage.extended(branch)
+                    _child(rec.value, branch), rec.multiplicity, rec.lineage.extended(branch)
                 ))
         nxt.extend(_born_records(k))
         records = nxt
@@ -393,6 +400,10 @@ def eigenfunction_family(
         birth, lineage.birth_value,
         graph=lookup.get(birth), decomposition=(decompositions or {}).get(birth),
     )
+    if not 0 <= member < len(basis):
+        raise ValueError(
+            f"member {member} is out of range: {lineage} is born with multiplicity {len(basis)}"
+        )
     cache = {birth: (basis[member], lineage.birth_value)}
 
     def at_level(m: int) -> VertexFunction:
@@ -445,7 +456,6 @@ def spectrum_from_json(data: dict) -> SpectrumTable:
     """Inverse of spectrum_json; ValueError when the document contradicts itself."""
     records = tuple(
         EigenvalueRecord(
-            level=data["level"],
             value=r["value"],
             multiplicity=r["multiplicity"],
             lineage=Lineage(

@@ -21,9 +21,6 @@ import numpy as np
 
 from .fractal_graph import LETTERS, Address, LevelGraph, build_level, refine, vertex_coords
 
-#: Energy ratio of one harmonic-extension step: E_m = RENORMALIZATION * E_{m-1}.
-RENORMALIZATION = 2.0 / 3.0
-
 
 @dataclass
 class VertexFunction:
@@ -110,6 +107,8 @@ def harmonize(boundary, m: int, *, graphs=None) -> VertexFunction:
     boundary = tuple(float(x) for x in boundary)
     if len(boundary) != 4:
         raise ValueError("boundary data must be four values (one per corner)")
+    if m < 0:
+        raise ValueError(f"level must be nonnegative, got {m}")
     lookup = graphs or {}
     u = VertexFunction(lookup.get(0) or build_level(0), np.array(boundary))
     for k in range(1, m + 1):

@@ -80,9 +80,6 @@ class Address:
     def is_boundary(self) -> bool:
         return not self.word
 
-    def sort_key(self):
-        return (self.word, self.base)
-
 
 def canonicalize(a: Address) -> Address:
     """Reduce an address to its unique canonical representative.
@@ -95,12 +92,6 @@ def canonicalize(a: Address) -> Address:
     if w and w[-1] > base:
         w[-1], base = base, w[-1]
     return Address(tuple(w), base)
-
-
-@dataclass(frozen=True)
-class EmbeddedVertex:
-    address: Address
-    coords: tuple[float, float, float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,12 +155,8 @@ class LevelGraph:
         return self.neighbor_idx[self.neighbor_ptr[v]:self.neighbor_ptr[v + 1]].tolist()
 
 
-def neighbors(g: LevelGraph, v: int) -> list[int]:
-    return g.neighbors(v)
-
-
 def _address_keys(digits: np.ndarray, base):
-    """Int64 keys that sort canonical addresses as Address.sort_key does: the
+    """Int64 keys that sort canonical addresses as (word, base) tuples do: the
     ``digits`` (each word letter plus 1, then 0s) read in base 5, then the base."""
     key = np.zeros(np.shape(base), dtype=np.int64)
     for i in range(digits.shape[-1]):
@@ -264,12 +251,6 @@ def vertex_coords(g: LevelGraph) -> np.ndarray:
         word, d = np.divmod(word, 5)
         x = np.where(d[:, None] > 0, (x + CORNER_COORDS[d - 1]) / 2.0, x)
     return x
-
-
-def embed(g: LevelGraph) -> list[EmbeddedVertex]:
-    return [
-        EmbeddedVertex(a, tuple(xyz)) for a, xyz in zip(g.vertices, vertex_coords(g).tolist())
-    ]
 
 
 def expected_vertex_count(m: int) -> int:

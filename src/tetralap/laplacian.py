@@ -1,6 +1,7 @@
-"""Self-similar measure, renormalized Laplacian, and boundary flux.
+"""Renormalized Laplacian and boundary flux for the self-similar measure.
 
-With uniform weights 1/4 each cell at level m has measure 4^{-m}, and a
+The measure gives each of the four contractions weight 1/4; it is the
+only one supported.  Each cell at level m has measure 4^{-m}, and a
 piecewise-harmonic bump at an interior vertex integrates to 2/4^{m+1}
 (one 4^{-m-1} slice per incident cell).  Combining the energy scaling
 (3/2)^m with the inverse bump integral 4^{m+1}/2 renormalizes the graph
@@ -20,47 +21,6 @@ import numpy as np
 from .fractal_graph import Address, canonicalize
 from .energy import VertexFunction, energy_bilinear
 
-UNIFORM_WEIGHTS = (0.25, 0.25, 0.25, 0.25)
-
-
-class NonUniformMeasureError(ValueError):
-    """Raised where only the uniform measure is supported."""
-
-
-@dataclass(frozen=True)
-class MeasureModel:
-    """Self-similar measure with one weight per contraction."""
-
-    weights: tuple[float, float, float, float] = UNIFORM_WEIGHTS
-
-    def __post_init__(self):
-        if len(self.weights) != 4 or any(w <= 0 for w in self.weights):
-            raise ValueError("measure needs four strictly positive weights")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ValueError("measure weights must sum to 1")
-
-    @property
-    def is_uniform(self) -> bool:
-        return self.weights == UNIFORM_WEIGHTS
-
-    def cell_measure(self, m: int) -> float:
-        """Measure 4^{-m} of any level-m cell (uniform weights only)."""
-        if not self.is_uniform:
-            raise NonUniformMeasureError(
-                "level-indexed cell measure assumes uniform weights; "
-                "use word_measure for a specific cell"
-            )
-        return 4.0 ** -m
-
-    def word_measure(self, word) -> float:
-        out = 1.0
-        for letter in word:
-            out *= self.weights[letter]
-        return out
-
-
-UNIFORM_MEASURE = MeasureModel()
-
 
 @dataclass(frozen=True)
 class LaplacianEstimate:
@@ -76,10 +36,8 @@ class NormalDerivativeEstimate:
     value: float
 
 
-def spline_integral(x: Address, m: int, measure: MeasureModel = UNIFORM_MEASURE) -> float:
+def spline_integral(x: Address, m: int) -> float:
     """Integral of the level-m harmonic bump at x: one 4^{-m}/4 slice per incident cell."""
-    if not measure.is_uniform:
-        raise NonUniformMeasureError("spline integrals are defined for the uniform measure")
     x = canonicalize(x)
     if len(x.word) > m:
         raise ValueError(f"{x} is not a vertex of V_{m}")
@@ -110,12 +68,7 @@ def interior_laplacian(u: VertexFunction) -> np.ndarray:
     return _neighbor_sums(u, 4, u.graph.n_vertices)
 
 
-def pointwise_laplacian(
-    u_source,
-    x: Address,
-    m: int,
-    measure: MeasureModel = UNIFORM_MEASURE,
-) -> LaplacianEstimate:
+def pointwise_laplacian(u_source, x: Address, m: int) -> LaplacianEstimate:
     """Renormalized estimate 2 * 6^m * Delta_m u(x).
 
     ``u_source`` maps a level to the VertexFunction of one function
@@ -124,20 +77,11 @@ def pointwise_laplacian(
     Laplacian; callers should inspect a profile across levels rather
     than trust a single m.
     """
-    if not measure.is_uniform:
-        raise NonUniformMeasureError(
-            "pointwise renormalization 2*6^m is derived for uniform weights"
-        )
     u = u_source(m)
     if u.graph.level != m:
         raise ValueError(f"u_source({m}) returned a level-{u.graph.level} function")
     value = 2.0 * 6.0 ** m * graph_laplacian(u, x)
     return LaplacianEstimate(level=m, vertex=canonicalize(x), value=value)
-
-
-def pointwise_laplacian_profile(u_source, x: Address, levels) -> list[LaplacianEstimate]:
-    """Convergence report: the renormalized estimate at each requested level."""
-    return [pointwise_laplacian(u_source, x, m) for m in levels]
 
 
 def normal_derivative(u_source, x: Address, k: int) -> NormalDerivativeEstimate:

@@ -167,11 +167,3 @@ def eigenvalue_multiset(decomp: EigenDecomposition, *, tol: float = CLUSTER_TOL)
         else:
             out.append((float(v), 1))
     return out
-
-
-def eigenvalues_csv(level: int, decomp: EigenDecomposition) -> str:
-    """CSV rows (level, index, eigenvalue)."""
-    lines = ["level,index,eigenvalue"]
-    for i, v in enumerate(decomp.values):
-        lines.append(f"{level},{i},{float(v)!r}")
-    return "\n".join(lines) + "\n"

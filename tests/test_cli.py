@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from tetralap import decimation, spectrum_from_json, enumerate_spectrum
-from tetralap.cli import main
+from tetralap.cli import OUTDIR_ENV, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +171,17 @@ def test_unconverged_limit_exit_code(capsys, monkeypatch, argv):
     assert "LIMIT_GENERATION_CAP = 2" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    "harmonic --boundary=1,0,0,0 --level -1 --format json",
+    "laplacian-check --depth -2",
+])
+def test_negative_level_or_depth_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 3
+    assert out == ""
+    assert "nonnegative" in json.loads(err)["error"]["message"]
+
+
 def test_bad_flags_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["harmonic", "--boundary", "1,2,3", "--level", "1"])
@@ -214,6 +229,14 @@ PINNED_DOCUMENTS = {
         "85b2145ff1ab984648ada6f298d2e01d48c6a9d014b9d5c084045e824626dbd3",
     "laplacian-check --boundary=0.3,-0.7,0.2,0.9 --level 2 --depth 3":
         "55dd53bdf7af812a6291ef5e32d00bba2f6304a77afaa63709ded30ccc0ff0e2",
+    "laplacian-check --vertex 0:1 --level 1 --depth 4":
+        "4d6c11b1317f4f740e1965e791f7fd04ba0dc81e6642347ec14642a5c2b3f9f4",
+    "oracle-compare --level 2":
+        "bc8ece0799c8185d26dfd74ed15d60adc7d565de89e8027cdfced753946e70f9",
+    "constants":
+        "3fda5ef8be61d47d2c40ad25d7ef77d984f2a4b49b703e743296254af3f7ac97",
+    "constants --format json":
+        "4697c7b045b0a9fe5b179d5ae99aff8197d95f2e5044e37f9f2b1a22933cd64d",
 }
 
 
@@ -237,3 +260,19 @@ def test_io_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "constants", "--output", str(bad))
     assert code == 4
     assert json.loads(err)["error"]["code"] == 4
+
+
+def _readme_commands():
+    """The ``tetralap`` lines of the README's "Command line" block, comments stripped."""
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("tetralap ")]
+
+
+def test_readme_examples_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(OUTDIR_ENV, str(tmp_path))
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)

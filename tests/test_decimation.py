@@ -179,6 +179,13 @@ def test_lineage_rejects_malformed_branches(branches):
         Lineage(1, 2.0, branches)
 
 
+@pytest.mark.parametrize("birth_level,birth_value", [(0, 6.0), (-2, 8.0), (2, 2.0)])
+def test_lineage_rejects_births_that_never_happen(birth_level, birth_value):
+    # births start at level 1, and 2 is born at level 1 only
+    with pytest.raises(ValueError, match="born at level"):
+        Lineage(birth_level, birth_value)
+
+
 def test_spectrum_level_cap():
     with pytest.raises(LevelCapError):
         enumerate_spectrum(16)
@@ -200,7 +207,7 @@ def _limit_mp(birth_value, birth_level, iters=40):
 
 
 def _record(value, level, mult=1):
-    return EigenvalueRecord(level, value, mult, Lineage(1, 2.0))
+    return EigenvalueRecord(value, mult, Lineage(level, value))
 
 
 def test_smallest_limit_eigenvalue_matches_extended_precision():
@@ -365,6 +372,16 @@ def test_lineage_eigenfunction_is_its_family_at_its_level(graphs, oracle_decomps
         assert np.array_equal(u.values, family(lineage.level).values)
 
 
+@pytest.mark.parametrize("member", [3, -1])
+def test_family_rejects_member_out_of_range(graphs, oracle_decomps, member):
+    # 6 is born at level 1 with multiplicity 3
+    with pytest.raises(ValueError, match="multiplicity 3"):
+        eigenfunction_family(
+            Lineage(1, 6.0), graphs={1: graphs(1)}, decompositions={1: oracle_decomps(1)},
+            member=member,
+        )
+
+
 def test_family_continues_on_the_minus_branch(graphs, oracle_decomps):
     lineage = Lineage(1, 6.0, "+")
     lookup = {m: graphs(m) for m in range(5)}
@@ -458,6 +475,9 @@ def test_spectrum_from_json_rejects_contradictions():
         spectrum_from_json({"level": 3, "total_multiplicity": 1, "records": [record]})
     with pytest.raises(ValueError, match="99"):
         spectrum_from_json({"level": 2, "total_multiplicity": 99, "records": [record]})
+    unborn = {**record, "birth_level": 0}  # ends at level 1, but nothing is born at 0
+    with pytest.raises(ValueError, match="born at level 0"):
+        spectrum_from_json({"level": 1, "total_multiplicity": 1, "records": [unborn]})
     assert spectrum_from_json(
         {"level": 2, "total_multiplicity": 1, "records": [record]}
     ).total_multiplicity == 1

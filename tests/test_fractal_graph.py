@@ -19,12 +19,10 @@ from tetralap import (
     LevelCapError,
     build_level,
     canonicalize,
-    embed,
     embed_address,
     expected_vertex_count,
     graph_json,
     graph_obj,
-    neighbors,
     vertex_coords,
 )
 
@@ -73,7 +71,7 @@ def test_level0_is_complete_graph(graphs):
     assert g.n_vertices == 4
     assert len(g.edges) == 6
     for v in range(4):
-        assert sorted(neighbors(g, v)) == [u for u in range(4) if u != v]
+        assert sorted(g.neighbors(v)) == [u for u in range(4) if u != v]
 
 
 def test_adjacency_is_symmetric(graphs):
@@ -210,7 +208,7 @@ def _reference_build(m):
     words = list(itertools.product(range(4), repeat=m))
     cells_addr = [[canonicalize(Address(word, j)) for j in range(4)] for word in words]
     fresh = {a for cell in cells_addr for a in cell if a not in index}
-    for a in sorted(fresh, key=Address.sort_key):
+    for a in sorted(fresh, key=lambda a: (a.word, a.base)):
         index[a] = len(index)
     cells = [[index[a] for a in cell] for cell in cells_addr]
     edges, adjacency = set(), [set() for _ in index]
@@ -250,9 +248,7 @@ def test_address_string_round_trip():
 # --- embedding ------------------------------------------------------------
 
 
-def test_embed_level0_corners(graphs):
-    for v in embed(graphs(0)):
-        assert v.coords == tuple(embed_address(v.address))
+def test_embed_level0_corners():
     from tetralap import CORNER_COORDS
 
     assert np.array_equal(embed_address(Address((), 1)), CORNER_COORDS[1])

@@ -1,13 +1,12 @@
-"""Measure, renormalized Laplacian, normal derivatives, Gauss-Green.
+"""Bump integrals, renormalized Laplacian, normal derivatives, Gauss-Green.
 
 Core claims:
     - bump integrals are 2/4^{m+1} interior, 1/4^{m+1} at corners, and
-      both cell measures and bump integrals tile to exactly 1
+      tile to exactly 1
     - Delta_m reproduces the level-1 eigenvalue identities (2 and 8)
     - the summation-by-parts identity holds to rounding at every level
     - harmonic functions have level-independent boundary fluxes that
       sum to zero, and renormalized Laplacians that decay to zero
-    - the non-uniform measure gates the renormalized operations off
 """
 
 import math
@@ -17,9 +16,6 @@ import pytest
 
 from tetralap import (
     Address,
-    MeasureModel,
-    NonUniformMeasureError,
-    UNIFORM_MEASURE,
     VertexFunction,
     energy_bilinear,
     gauss_green_residual,
@@ -30,32 +26,11 @@ from tetralap import (
     laplacian_csv,
     normal_derivative,
     pointwise_laplacian,
-    pointwise_laplacian_profile,
     spline_integral,
 )
 
 
-# --- measure ----------------------------------------------------------------
-
-
-def test_measure_validation():
-    with pytest.raises(ValueError):
-        MeasureModel((0.5, 0.5, 0.25, 0.25))
-    with pytest.raises(ValueError):
-        MeasureModel((0.5, 0.5, 0.0, 0.0))
-    assert UNIFORM_MEASURE.is_uniform
-
-
-def test_cell_measures_tile_to_one():
-    for m in range(6):
-        assert 4 ** m * UNIFORM_MEASURE.cell_measure(m) == 1.0
-
-
-def test_word_measure_non_uniform():
-    mu = MeasureModel((0.1, 0.2, 0.3, 0.4))
-    assert mu.word_measure((0, 3)) == pytest.approx(0.04)
-    with pytest.raises(NonUniformMeasureError):
-        mu.cell_measure(2)
+# --- bump integrals ----------------------------------------------------------
 
 
 def test_spline_integral_values():
@@ -80,7 +55,7 @@ def test_spline_integrals_tile_to_one(graphs):
 def test_spline_integral_per_cell_share():
     # the four corner bumps of one cell split its measure evenly
     m = 2
-    per_corner = UNIFORM_MEASURE.cell_measure(m) / 4.0
+    per_corner = 4.0 ** -m / 4.0
     assert spline_integral(Address((), 0), m) == per_corner
     assert spline_integral(Address((0, 1), 2), m) == 2 * per_corner
 
@@ -88,8 +63,6 @@ def test_spline_integral_per_cell_share():
 def test_spline_integral_requires_membership():
     with pytest.raises(ValueError):
         spline_integral(Address((0, 1), 2), 1)
-    with pytest.raises(NonUniformMeasureError):
-        spline_integral(Address((0,), 1), 1, MeasureModel((0.1, 0.2, 0.3, 0.4)))
 
 
 # --- graph laplacian ---------------------------------------------------------
@@ -166,7 +139,7 @@ def test_pointwise_laplacian_harmonic_is_negligible(graphs):
     # the 2*6^m amplification the estimates stay far below any signal
     fam = harmonic_family((1, 0, 0, 0))
     x = Address((0,), 1)
-    estimates = pointwise_laplacian_profile(fam, x, range(1, 6))
+    estimates = [pointwise_laplacian(fam, x, m) for m in range(1, 6)]
     assert all(abs(e.value) < 1e-9 for e in estimates)
 
 
@@ -176,12 +149,6 @@ def test_pointwise_laplacian_constant_zero(graphs):
         est = pointwise_laplacian(fam, Address((0,), 1), m)
         assert est.value == 0.0
         assert est.level == m
-
-
-def test_pointwise_laplacian_gates_non_uniform():
-    fam = harmonic_family((1, 0, 0, 0))
-    with pytest.raises(NonUniformMeasureError):
-        pointwise_laplacian(fam, Address((0,), 1), 2, MeasureModel((0.1, 0.2, 0.3, 0.4)))
 
 
 def test_pointwise_laplacian_requires_membership():
@@ -301,7 +268,7 @@ def test_gauss_green_graph_mismatch(graphs):
 
 def test_laplacian_csv_format():
     fam = harmonic_family((1, 0, 0, 0))
-    rows = pointwise_laplacian_profile(fam, Address((0,), 1), range(1, 3))
+    rows = [pointwise_laplacian(fam, Address((0,), 1), m) for m in range(1, 3)]
     text = laplacian_csv(rows)
     lines = text.strip().splitlines()
     assert lines[0] == "level,address,value"

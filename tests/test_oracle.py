@@ -21,7 +21,6 @@ from tetralap import (
     LevelCapError,
     assemble,
     eigenvalue_multiset,
-    eigenvalues_csv,
     enumerate_spectrum,
     jacobi_eigen,
     kernel_dimension,
@@ -206,11 +205,3 @@ def test_oracle_matches_decimation(oracle_decomps):
         expanded.sort()
         assert len(expanded) == len(dense)
         assert np.max(np.abs(dense - np.array(expanded))) < 1e-8
-
-
-def test_eigenvalues_csv(oracle_decomps):
-    text = eigenvalues_csv(1, oracle_decomps(1))
-    lines = text.strip().splitlines()
-    assert lines[0] == "level,index,eigenvalue"
-    assert len(lines) == 7
-    assert lines[1].startswith("1,0,")
