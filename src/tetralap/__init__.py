@@ -62,7 +62,6 @@ from .decimation import (
     limit_spectrum,
     limit_spectrum_csv,
     limit_spectrum_json,
-    lineage_eigenfunction,
     lineage_value,
     spectrum_csv,
     spectrum_from_json,

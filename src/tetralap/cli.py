@@ -116,6 +116,8 @@ def _cmd_counting(args: argparse.Namespace) -> str:
 def _cmd_laplacian_check(args: argparse.Namespace) -> str:
     if args.depth < 0:
         raise ValueError(f"depth must be nonnegative, got {args.depth}")
+    if args.level < 1:  # level 0 has no interior vertex to probe
+        raise ValueError(f"level must be nonnegative and nonzero, got {args.level}")
     u = harmonic_family(args.boundary)
     base = build_level(args.level)
     if args.vertex is not None:

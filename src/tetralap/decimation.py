@@ -59,7 +59,7 @@ class ForbiddenEigenvalueError(ValueError):
     """Extension attempted at a degenerate eigenvalue (2, 6 or 8)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lineage:
     """Birth data plus the branch choices taken since."""
 
@@ -76,6 +76,8 @@ class Lineage:
             )
         if not isinstance(self.branches, str) or self.branches.strip(MINUS + PLUS):
             raise ValueError(f"branches must be a string of '-' and '+', got {self.branches!r}")
+        if self.branches and self.branches[0] not in _branches_after(self.birth_value):
+            raise ValueError(f"{self.birth_value} does not continue on {self.branches[0]!r}")
 
     @property
     def level(self) -> int:
@@ -85,7 +87,7 @@ class Lineage:
         return Lineage(self.birth_level, self.birth_value, self.branches + branch)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EigenvalueRecord:
     value: float
     multiplicity: int
@@ -108,7 +110,7 @@ class SpectrumTable:
 
 @dataclass(frozen=True)
 class LimitEigenvalue:
-    """2 * lim 6^k lam_k along a lineage continued all-minus forever."""
+    """2 * lim 6^k lam_k along a lineage continued as limit_eigenvalue does."""
 
     lineage: Lineage
     value: float
@@ -160,6 +162,13 @@ def _child(lam_prev: float, branch: str) -> float:
     return lam_prev / (3.0 + root) if branch == MINUS else 3.0 + root
 
 
+def _branches_after(lam: float) -> str:
+    """The branches lam continues on at the next level; the first is taken
+    once a lineage's recorded branches run out.  The minus child of 8 is 2,
+    which has no eigenfunction at levels >= 2."""
+    return PLUS if lam == 8.0 else MINUS + PLUS
+
+
 def decimate_up(lam_prev: float) -> tuple[float, float]:
     """Both children (3 - sqrt(9 - lam), 3 + sqrt(9 - lam)) of a parent value."""
     if lam_prev > 9.0:
@@ -186,49 +195,42 @@ def born_multiplicities(m: int) -> dict[int, int]:
     }
 
 
-def _born_records(m: int) -> list[EigenvalueRecord]:
-    mults = born_multiplicities(m)
-    return [
-        EigenvalueRecord(float(v), mults[v], Lineage(m, float(v)))
-        for v in (2, 6, 8)
-        if mults[v] > 0
-    ]
-
-
-def enumerate_spectrum(m: int, *, level_cap: int = SPECTRUM_LEVEL_CAP) -> SpectrumTable:
+def enumerate_spectrum(m: int) -> SpectrumTable:
     """Complete Dirichlet spectrum of -Delta_m, total multiplicity 2(4^m - 1)."""
     if m < 1:
         raise ValueError(f"the spectrum is enumerated for levels >= 1, got {m}")
-    if m > level_cap:
-        raise LevelCapError(f"spectrum enumeration capped at level {level_cap}, got {m}")
-    records = _born_records(1)
-    for k in range(2, m + 1):
-        nxt = []
-        for rec in records:
-            # the minus child of 8 is 2, which has no eigenfunction at
-            # levels >= 2; every other record keeps both branches
-            for branch in (PLUS,) if rec.value == 8.0 else (MINUS, PLUS):
-                nxt.append(EigenvalueRecord(
-                    _child(rec.value, branch), rec.multiplicity, rec.lineage.extended(branch)
-                ))
-        nxt.extend(_born_records(k))
-        records = nxt
-    records.sort(key=lambda r: r.value)
+    if m > SPECTRUM_LEVEL_CAP:
+        raise LevelCapError(f"spectrum enumeration capped at level {SPECTRUM_LEVEL_CAP}, got {m}")
+    rows = []  # (value, multiplicity, birth level, birth value, branches)
+    for k in range(1, m + 1):
+        rows = [
+            (_child(lam, b), mult, level, born, branches + b)
+            for lam, mult, level, born, branches in rows
+            for b in _branches_after(lam)
+        ]
+        rows += [(float(v), n, k, float(v), "") for v, n in born_multiplicities(k).items() if n]
+    rows.sort(key=lambda row: row[0])
+    records = (EigenvalueRecord(lam, n, Lineage(level, born, br)) for lam, n, level, born, br in rows)
     return SpectrumTable(level=m, records=tuple(records))
 
 
 def limit_eigenvalue(record: EigenvalueRecord) -> LimitEigenvalue:
-    """Continue a graph record all-minus and renormalize to the limit operator;
-    ValueError if LIMIT_GENERATION_CAP generations do not reach LIMIT_REL_TOL."""
-    lam = record.value
+    """Continue a graph record on the first branch _branches_after allows (one
+    plus from a value 8, which the returned lineage carries, then minus) and
+    renormalize to the limit operator; ValueError if LIMIT_GENERATION_CAP
+    generations do not reach LIMIT_REL_TOL."""
+    lam, lineage = record.value, record.lineage
     power = 6.0 ** record.level
     prev = 2.0 * power * lam
     for gen in range(record.level + 1, record.level + LIMIT_GENERATION_CAP + 1):
-        lam = _child(lam, MINUS)
+        branch = _branches_after(lam)[0]
+        if branch == PLUS:
+            lineage = lineage.extended(PLUS)
+        lam = _child(lam, branch)
         power *= 6.0
         cur = 2.0 * power * lam
         if abs(cur - prev) <= LIMIT_REL_TOL * abs(cur):
-            return LimitEigenvalue(record.lineage, cur, record.multiplicity, gen)
+            return LimitEigenvalue(lineage, cur, record.multiplicity, gen)
         prev = cur
     raise ValueError(
         f"the limit of {record.lineage} did not converge within "
@@ -367,19 +369,6 @@ def born_eigenbasis(
     return out
 
 
-def lineage_eigenfunction(
-    lineage: Lineage,
-    *,
-    graphs: dict[int, LevelGraph] | None = None,
-    decompositions: dict[int, _oracle.EigenDecomposition] | None = None,
-    member: int = 0,
-) -> VertexFunction:
-    """One eigenfunction realizing a lineage at its level: its family there."""
-    return eigenfunction_family(
-        lineage, graphs=graphs, decompositions=decompositions, member=member
-    )(lineage.level)
-
-
 def eigenfunction_family(
     lineage: Lineage,
     *,
@@ -387,12 +376,12 @@ def eigenfunction_family(
     decompositions: dict[int, _oracle.EigenDecomposition] | None = None,
     member: int = 0,
 ):
-    """level -> VertexFunction continuing a lineage all-minus, cached.
+    """level -> VertexFunction continuing a lineage, cached.
 
     Starts from the ``member``-th kernel vector at the birth level and
     extends it through eigenfunction_extend along the recorded branches;
-    levels above lineage.level follow the minus branch, matching the
-    limit eigenvalue of limit_eigenvalue for the same lineage.
+    levels above lineage.level take the first branch _branches_after
+    allows, as limit_eigenvalue does for the same lineage.
     """
     lookup = graphs or {}
     birth = lineage.birth_level
@@ -409,10 +398,9 @@ def eigenfunction_family(
     def at_level(m: int) -> VertexFunction:
         if m < lineage.level:
             raise ValueError(f"lineage starts at level {lineage.level}, got {m}")
-        path = lineage.branches + MINUS * (m - lineage.level)
         for k in range(max(cache), m):
             u, lam = cache[k]
-            lam = _child(lam, path[k - birth])
+            lam = _child(lam, lineage.branches[k - birth:k - birth + 1] or _branches_after(lam)[0])
             cache[k + 1] = (eigenfunction_extend(u, lam, target=lookup.get(k + 1)), lam)
         return cache[m][0]
 
@@ -453,26 +441,20 @@ def spectrum_csv(table: SpectrumTable) -> str:
 
 
 def spectrum_from_json(data: dict) -> SpectrumTable:
-    """Inverse of spectrum_json; ValueError when the document contradicts itself."""
-    records = tuple(
-        EigenvalueRecord(
-            value=r["value"],
-            multiplicity=r["multiplicity"],
-            lineage=Lineage(
-                birth_level=r["birth_level"],
-                birth_value=r["birth_value"],
-                branches=r["branches"],
-            ),
-        )
-        for r in data["records"]
-    )
-    table = SpectrumTable(level=data["level"], records=records)
-    for i, r in enumerate(records):
-        if r.lineage.level != table.level:
-            raise ValueError(f"record {i}: {r.lineage} does not end at level {table.level}")
-    stated = data["total_multiplicity"]
-    if table.total_multiplicity != stated:
-        raise ValueError(f"multiplicities add up to {table.total_multiplicity}, not {stated}")
+    """Inverse of spectrum_json: the table of the document's level; ValueError
+    unless the document is exactly that table's JSON."""
+    records = data["records"]
+    total, stated = sum(r["multiplicity"] for r in records), data["total_multiplicity"]
+    if total != stated:
+        raise ValueError(f"multiplicities add up to {total}, not {stated}")
+    table = enumerate_spectrum(data["level"])
+    for i, (want, got) in enumerate(itertools.zip_longest(map(_record_json, table.records), records)):
+        if want != got:
+            if got is not None:
+                lineage = Lineage(got["birth_level"], got["birth_value"], got["branches"])
+                if lineage.level != table.level:
+                    raise ValueError(f"record {i}: {lineage} does not end at level {table.level}")
+            raise ValueError(f"record {i} differs from the level-{table.level} spectrum")
     return table
 
 

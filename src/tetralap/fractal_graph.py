@@ -164,20 +164,17 @@ def _address_keys(digits: np.ndarray, base):
     return key * 4 + base
 
 
-def build_level(m: int, *, level_cap: int = DEFAULT_LEVEL_CAP) -> LevelGraph:
+def build_level(m: int) -> LevelGraph:
     """Construct the level-m graph.
 
     Vertices are ordered by canonical address, which puts the boundary
     first, so the layout is deterministic.  Raises LevelCapError beyond
-    ``level_cap``.
+    DEFAULT_LEVEL_CAP.
     """
     if m < 0:
         raise ValueError(f"level must be nonnegative, got {m}")
-    if m > level_cap:
-        raise LevelCapError(
-            f"level {m} exceeds cap {level_cap} "
-            f"(~{2 * 4 ** m} vertices); raise level_cap explicitly to force"
-        )
+    if m > DEFAULT_LEVEL_CAP:
+        raise LevelCapError(f"level {m} exceeds cap {DEFAULT_LEVEL_CAP} (~{2 * 4 ** m} vertices)")
 
     # canonicalize corner j of every cell at once: the cell words are the
     # base-4 digits of their index, in product order

@@ -21,6 +21,10 @@ ORACLE_LEVEL_CAP = 5
 #: eigenvalue; true gaps at the supported levels exceed 1e-2.
 CLUSTER_TOL = 1e-6
 
+#: Jacobi's target for the relative off-diagonal norm, and its sweep cap.
+JACOBI_TOL = 1e-14
+JACOBI_MAX_SWEEPS = 50
+
 
 class JacobiConvergenceError(RuntimeError):
     """Sweep cap reached before the off-diagonal mass fell below tolerance."""
@@ -50,13 +54,14 @@ class EigenDecomposition:
     sweeps: int
 
 
-def assemble(m: int, *, graph: LevelGraph | None = None, level_cap: int = ORACLE_LEVEL_CAP) -> DirichletMatrix:
+def assemble(m: int, *, graph: LevelGraph | None = None) -> DirichletMatrix:
     """Dense interior Dirichlet matrix at level m (boundary rows dropped)."""
     if m < 1:
         raise ValueError(f"the Dirichlet matrix needs level >= 1, got {m}")
-    if m > level_cap:
+    if m > ORACLE_LEVEL_CAP:
         raise LevelCapError(
-            f"dense oracle capped at level {level_cap} (dim {2 * (4 ** level_cap - 1)}); got {m}"
+            f"dense oracle capped at level {ORACLE_LEVEL_CAP} "
+            f"(dim {2 * (4 ** ORACLE_LEVEL_CAP - 1)}); got {m}"
         )
     g = graph if graph is not None else build_level(m)
     if g.level != m:
@@ -76,17 +81,12 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(b))
 
 
-def jacobi_eigen(
-    a: DirichletMatrix | np.ndarray,
-    *,
-    tol: float = 1e-14,
-    max_sweeps: int = 50,
-) -> EigenDecomposition:
+def jacobi_eigen(a: DirichletMatrix | np.ndarray) -> EigenDecomposition:
     """Full symmetric eigendecomposition by cyclic Jacobi rotations.
 
     Sweeps run until the off-diagonal Frobenius norm drops below
-    ``tol * ||A||_F``; eigenvalues come back ascending with matching
-    orthonormal eigenvector columns.
+    ``JACOBI_TOL * ||A||_F``; eigenvalues come back ascending with
+    matching orthonormal eigenvector columns.
     """
     work = np.array(a.entries if isinstance(a, DirichletMatrix) else a, dtype=float)
     n = work.shape[0]
@@ -100,12 +100,12 @@ def jacobi_eigen(
     sweeps = 0
     while True:
         off = _off_norm(work)
-        if off <= tol * fro:
+        if off <= JACOBI_TOL * fro:
             break
-        if sweeps >= max_sweeps:
+        if sweeps >= JACOBI_MAX_SWEEPS:
             raise JacobiConvergenceError(
                 f"no convergence after {sweeps} sweeps: off-diagonal {off:.3e} "
-                f"vs target {tol * fro:.3e} (dim {n})"
+                f"vs target {JACOBI_TOL * fro:.3e} (dim {n})"
             )
         # rotations far below the current off level cannot help this
         # sweep; they are picked up later once off has shrunk
@@ -147,22 +147,17 @@ def jacobi_eigen(
     )
 
 
-def kernel_dimension(
-    a: DirichletMatrix | EigenDecomposition,
-    lam: float,
-    *,
-    tol: float = CLUSTER_TOL,
-) -> int:
-    """Multiplicity of lam: eigenvalues within ``tol`` of it."""
+def kernel_dimension(a: DirichletMatrix | EigenDecomposition, lam: float) -> int:
+    """Multiplicity of lam: eigenvalues within CLUSTER_TOL of it."""
     decomp = a if isinstance(a, EigenDecomposition) else jacobi_eigen(a)
-    return int(np.sum(np.abs(decomp.values - lam) < tol))
+    return int(np.sum(np.abs(decomp.values - lam) < CLUSTER_TOL))
 
 
-def eigenvalue_multiset(decomp: EigenDecomposition, *, tol: float = CLUSTER_TOL):
+def eigenvalue_multiset(decomp: EigenDecomposition):
     """Clustered (value, multiplicity) pairs, ascending."""
     out: list[tuple[float, int]] = []
     for v in decomp.values:
-        if out and abs(v - out[-1][0]) < tol:
+        if out and abs(v - out[-1][0]) < CLUSTER_TOL:
             out[-1] = (out[-1][0], out[-1][1] + 1)
         else:
             out.append((float(v), 1))

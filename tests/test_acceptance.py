@@ -28,7 +28,6 @@ from tetralap import (
     kernel_dimension,
     limit_eigenvalue,
     limit_spectrum,
-    lineage_eigenfunction,
     eigenfunction_family,
     normal_derivative,
     pointwise_laplacian,
@@ -186,7 +185,8 @@ def test_criterion_09_eigenfunction_residuals(graphs, oracle_decomps):
     worst, checked = 0.0, 0
     for m in range(1, 5):
         for rec in enumerate_spectrum(m).records:
-            u = lineage_eigenfunction(rec.lineage, graphs=lookup, decompositions=decomps)
+            fam = eigenfunction_family(rec.lineage, graphs=lookup, decompositions=decomps)
+            u = fam(rec.lineage.level)
             res = -interior_laplacian(u) - rec.value * u.values[list(u.graph.interior)]
             rel = float(np.max(np.abs(res))) / float(np.max(np.abs(u.values)))
             worst = max(worst, rel)

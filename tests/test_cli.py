@@ -174,6 +174,7 @@ def test_unconverged_limit_exit_code(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv", [
     "harmonic --boundary=1,0,0,0 --level -1 --format json",
     "laplacian-check --depth -2",
+    "laplacian-check --level 0",
 ])
 def test_negative_level_or_depth_exit_code(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())

@@ -36,7 +36,6 @@ from tetralap import (
     interior_laplacian,
     limit_eigenvalue,
     limit_spectrum,
-    lineage_eigenfunction,
     lineage_value,
     spectrum_from_json,
     spectrum_json,
@@ -173,10 +172,13 @@ def test_lineage_branches_are_one_string():
     assert lineage_value(lineage) == decimate_up(decimate_up(2.0)[0])[1]
 
 
-@pytest.mark.parametrize("branches", ["-x", ("-",), "+ "])
-def test_lineage_rejects_malformed_branches(branches):
+@pytest.mark.parametrize("birth_value,branches", [
+    (2.0, "-x"), (2.0, ("-",)), (2.0, "+ "),
+    (8.0, "-"),  # the minus child of 8 is the pruned value 2
+])
+def test_lineage_rejects_malformed_branches(birth_value, branches):
     with pytest.raises(ValueError):
-        Lineage(1, 2.0, branches)
+        Lineage(1, birth_value, branches)
 
 
 @pytest.mark.parametrize("birth_level,birth_value", [(0, 6.0), (-2, 8.0), (2, 2.0)])
@@ -285,6 +287,17 @@ def test_limit_spectrum_sorted_with_multiplicity():
     assert len(limits) == 10
 
 
+@pytest.mark.parametrize("births", range(3, 11))
+def test_limit_spectrum_matches_larger_births(births):
+    # every limit of the births-B table, the top one (a value 8 born at
+    # level B) included, is realized in the same place by births B + 3
+    small = limit_spectrum(births, 2 ** (births + 1) - 1)
+    large = limit_spectrum(births + 3, 2 ** (births + 4) - 1)
+    assert [(l.value, l.multiplicity) for l in small] == [
+        (l.value, l.multiplicity) for l in large[:len(small)]
+    ]
+
+
 def test_limit_spectrum_count_guard():
     with pytest.raises(ValueError):
         limit_spectrum(2, 1000)
@@ -359,17 +372,9 @@ def test_lineage_eigenfunction_residuals(graphs, oracle_decomps):
     for rec in enumerate_spectrum(3).records:
         if rec.lineage.birth_level > 2:
             continue
-        u = lineage_eigenfunction(rec.lineage, graphs=lookup, decompositions=decomps)
+        family = eigenfunction_family(rec.lineage, graphs=lookup, decompositions=decomps)
+        u = family(rec.lineage.level)
         assert _residual(u, rec.value) <= 1e-9 * np.max(np.abs(u.values))
-
-
-def test_lineage_eigenfunction_is_its_family_at_its_level(graphs, oracle_decomps):
-    decomps = {1: oracle_decomps(1)}
-    lookup = {m: graphs(m) for m in range(5)}
-    for lineage in (Lineage(1, 2.0), Lineage(1, 6.0, "-+"), Lineage(1, 8.0, "+-")):
-        u = lineage_eigenfunction(lineage, graphs=lookup, decompositions=decomps, member=0)
-        family = eigenfunction_family(lineage, graphs=lookup, decompositions=decomps, member=0)
-        assert np.array_equal(u.values, family(lineage.level).values)
 
 
 @pytest.mark.parametrize("member", [3, -1])
@@ -391,6 +396,18 @@ def test_family_continues_on_the_minus_branch(graphs, oracle_decomps):
         lam = decimate_up(lam)[0]
         u = eigenfunction_extend(u, lam, target=graphs(k))
     assert np.array_equal(family(lineage.level + 2).values, u.values)
+
+
+def test_born_eight_family_continues_on_the_plus_branch(graphs, oracle_decomps):
+    # 8 born at level 2 goes on as 4, then minus: its minus child 2 has no
+    # eigenfunction at level 3
+    lookup = {m: graphs(m) for m in range(5)}
+    family = eigenfunction_family(
+        Lineage(2, 8.0), graphs=lookup, decompositions={2: oracle_decomps(2)}, member=13
+    )
+    for lineage in (Lineage(2, 8.0, "+"), Lineage(2, 8.0, "+-")):
+        u = family(lineage.level)
+        assert _residual(u, lineage_value(lineage)) <= 1e-9 * np.max(np.abs(u.values))
 
 
 def test_born_eigenbasis_dimensions(graphs, oracle_decomps):
@@ -478,9 +495,13 @@ def test_spectrum_from_json_rejects_contradictions():
     unborn = {**record, "birth_level": 0}  # ends at level 1, but nothing is born at 0
     with pytest.raises(ValueError, match="born at level 0"):
         spectrum_from_json({"level": 1, "total_multiplicity": 1, "records": [unborn]})
-    assert spectrum_from_json(
-        {"level": 2, "total_multiplicity": 1, "records": [record]}
-    ).total_multiplicity == 1
+    with pytest.raises(ValueError):  # the value of (1, 2.0, "-") at level 2 is not 1.0
+        spectrum_from_json({"level": 2, "total_multiplicity": 1, "records": [record]})
+    doc = spectrum_json(enumerate_spectrum(2))
+    doc["records"][0]["multiplicity"] += 1
+    doc["total_multiplicity"] += 1  # consistent with itself, not with level 2
+    with pytest.raises(ValueError):
+        spectrum_from_json(doc)
 
 
 def test_spectrum_json_fields():

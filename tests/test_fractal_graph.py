@@ -125,7 +125,6 @@ def test_level_cap():
         build_level(13)
     with pytest.raises(ValueError):
         build_level(-1)
-    assert build_level(3, level_cap=3).level == 3
 
 
 # --- canonical addresses -------------------------------------------------

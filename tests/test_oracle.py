@@ -25,6 +25,7 @@ from tetralap import (
     jacobi_eigen,
     kernel_dimension,
 )
+from tetralap import oracle
 
 # interior order at level 1 is the sorted midpoint addresses
 # 0:1, 0:2, 0:3, 1:2, 1:3, 2:3; opposite midpoints share no cell
@@ -120,12 +121,13 @@ def test_jacobi_random_symmetric_matches_lapack():
     assert np.max(np.abs(gram - np.eye(40))) < 1e-12
 
 
-def test_jacobi_convergence_cap():
+def test_jacobi_convergence_cap(monkeypatch):
     rng = np.random.default_rng(42)
     mat = rng.normal(size=(12, 12))
     mat = (mat + mat.T) / 2.0
+    monkeypatch.setattr(oracle, "JACOBI_MAX_SWEEPS", 1)
     with pytest.raises(JacobiConvergenceError):
-        jacobi_eigen(mat, max_sweeps=1)
+        jacobi_eigen(mat)
 
 
 def test_level1_eigenvalues(oracle_decomps):
