@@ -16,6 +16,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from .fractal_graph import (
     Address,
     LevelCapError,
@@ -134,10 +136,7 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> str:
     g = build_level(args.level)
     decomp = oracle.jacobi_eigen(oracle.assemble(args.level, graph=g))
     table = enumerate_spectrum(args.level)
-    expanded = []
-    for r in table.records:
-        expanded.extend([r.value] * r.multiplicity)
-    expanded.sort()
+    expanded = np.repeat(table.values, table.multiplicities).tolist()  # ascending, as floats
     lines = ["level,index,oracle_eigenvalue,decimation_eigenvalue,abs_diff"]
     worst = 0.0
     for i, (ov, dv) in enumerate(zip(decomp.values, expanded)):

@@ -28,6 +28,7 @@ cancellation that makes 3 - sqrt(9 - lam) lose digits as lam -> 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -98,14 +99,57 @@ class EigenvalueRecord:
         return self.lineage.level
 
 
-@dataclass(frozen=True)
+#: Column name -> dtype of a SpectrumTable; a row is one EigenvalueRecord.
+_COLUMNS = {
+    "values": np.float64,
+    "multiplicities": np.int64,
+    "birth_levels": np.int64,
+    "birth_values": np.float64,
+    "branches": np.str_,
+}
+
+
+@dataclass(frozen=True, eq=False)
 class SpectrumTable:
+    """The level-m spectrum as read-only columns, one row per record, in
+    ascending value order; ``branches`` holds each row's Lineage.branches."""
+
     level: int
-    records: tuple[EigenvalueRecord, ...]
+    values: np.ndarray
+    multiplicities: np.ndarray
+    birth_levels: np.ndarray
+    birth_values: np.ndarray
+    branches: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in _COLUMNS.items():
+            column = np.asarray(getattr(self, name), dtype=dtype).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __eq__(self, other):
+        if not isinstance(other, SpectrumTable):
+            return NotImplemented
+        return self.level == other.level and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
+        )
+
+    def _rows(self, rows=slice(None)):
+        """(value, multiplicity, birth level, birth value, branches) of the
+        selected rows, as Python scalars."""
+        return zip(*(getattr(self, name)[rows].tolist() for name in _COLUMNS))
+
+    @functools.cached_property
+    def records(self) -> tuple[EigenvalueRecord, ...]:
+        """The rows as EigenvalueRecord objects, built on first access."""
+        return tuple(
+            EigenvalueRecord(value, n, Lineage(level, born, branches))
+            for value, n, level, born, branches in self._rows()
+        )
 
     @property
     def total_multiplicity(self) -> int:
-        return sum(r.multiplicity for r in self.records)
+        return int(self.multiplicities.sum())
 
 
 @dataclass(frozen=True)
@@ -156,10 +200,17 @@ def decimate_down(lam_m: float) -> float:
     return lam_m * (6.0 - lam_m)
 
 
+def _children(lam_prev, sqrt=math.sqrt):
+    """The minus and plus children 3 -/+ sqrt(9 - lam) of a parent value lam
+    <= 9, or of a column of them with sqrt=np.sqrt."""
+    root = sqrt(9.0 - lam_prev)
+    return lam_prev / (3.0 + root), 3.0 + root
+
+
 def _child(lam_prev: float, branch: str) -> float:
-    """The child 3 -/+ sqrt(9 - lam) of a parent value lam <= 9 on one branch."""
-    root = math.sqrt(9.0 - lam_prev)
-    return lam_prev / (3.0 + root) if branch == MINUS else 3.0 + root
+    """The child of a parent value lam <= 9 on one branch."""
+    minus, plus = _children(lam_prev)
+    return minus if branch == MINUS else plus
 
 
 def _branches_after(lam: float) -> str:
@@ -169,11 +220,15 @@ def _branches_after(lam: float) -> str:
     return PLUS if lam == 8.0 else MINUS + PLUS
 
 
+#: The values _branches_after continues on PLUS only, for the column steps.
+_PLUS_ONLY = [v for v in FORBIDDEN_VALUES if MINUS not in _branches_after(v)]
+
+
 def decimate_up(lam_prev: float) -> tuple[float, float]:
     """Both children (3 - sqrt(9 - lam), 3 + sqrt(9 - lam)) of a parent value."""
     if lam_prev > 9.0:
         raise ValueError(f"decimate_up needs lam <= 9, got {lam_prev}")
-    return _child(lam_prev, MINUS), _child(lam_prev, PLUS)
+    return _children(lam_prev)
 
 
 def lineage_value(lineage: Lineage) -> float:
@@ -201,17 +256,66 @@ def enumerate_spectrum(m: int) -> SpectrumTable:
         raise ValueError(f"the spectrum is enumerated for levels >= 1, got {m}")
     if m > SPECTRUM_LEVEL_CAP:
         raise LevelCapError(f"spectrum enumeration capped at level {SPECTRUM_LEVEL_CAP}, got {m}")
-    rows = []  # (value, multiplicity, birth level, birth value, branches)
+    values = born_at = np.empty(0)
+    mults = levels = bits = np.empty(0, np.int64)  # bits: the branches, PLUS = 1, last lowest
     for k in range(1, m + 1):
-        rows = [
-            (_child(lam, b), mult, level, born, branches + b)
-            for lam, mult, level, born, branches in rows
-            for b in _branches_after(lam)
-        ]
-        rows += [(float(v), n, k, float(v), "") for v, n in born_multiplicities(k).items() if n]
-    rows.sort(key=lambda row: row[0])
-    records = (EigenvalueRecord(lam, n, Lineage(level, born, br)) for lam, n, level, born, br in rows)
-    return SpectrumTable(level=m, records=tuple(records))
+        # one child per allowed (parent, branch), each parent's MINUS before its PLUS
+        allowed = np.column_stack([~np.isin(values, _PLUS_ONLY), np.ones(len(values), bool)])
+        parents, plus = np.nonzero(allowed)
+        minus_child, plus_child = _children(values[parents], np.sqrt)
+        births = {float(v): n for v, n in born_multiplicities(k).items() if n}
+        values = np.concatenate([np.where(plus, plus_child, minus_child), list(births)])
+        mults = np.concatenate([mults[parents], list(births.values())])
+        levels = np.concatenate([levels[parents], [k] * len(births)])
+        born_at = np.concatenate([born_at[parents], list(births)])
+        bits = np.concatenate([2 * bits[parents] + plus, [0] * len(births)])
+    order = np.argsort(values, kind="stable")
+    levels, bits = levels[order], bits[order]
+    # branch strings one position at a time: branch j of a row with n
+    # branches is bit n - 1 - j; positions past n stay NUL, which numpy strips
+    lengths = m - levels
+    chars = np.zeros((len(bits), m), np.uint32)
+    for j in range(m):
+        row = lengths > j
+        step = (bits[row] >> (lengths[row] - 1 - j)) & 1
+        chars[row, j] = np.where(step, ord(PLUS), ord(MINUS))
+    branches = chars.view(f"U{m}")[:, 0]
+    return SpectrumTable(m, values[order], mults[order], levels, born_at[order], branches)
+
+
+def _limit_loop(values: np.ndarray, level: int, lineage_of):
+    """Continue each level-``level`` value on the first branch _branches_after
+    allows and renormalize, 2 * 6^k lam_k, until one more generation moves it
+    by at most LIMIT_REL_TOL relatively; each row stops at its own generation.
+
+    Returns (limits, generations used, PLUS steps taken) per row.  Raises
+    ValueError naming lineage_of(row) for the first row still moving after
+    LIMIT_GENERATION_CAP generations.
+    """
+    limits = np.empty(len(values))
+    generations = np.empty(len(values), np.int64)
+    pluses = np.empty(len(values), np.int64)
+    rows, lam, taken = np.arange(len(values)), values, np.zeros(len(values), np.int64)
+    power = 6.0 ** level
+    prev = 2.0 * power * lam
+    for gen in range(level + 1, level + LIMIT_GENERATION_CAP + 1):
+        plus = np.isin(lam, _PLUS_ONLY)
+        minus_child, plus_child = _children(lam, np.sqrt)
+        lam = np.where(plus, plus_child, minus_child)
+        taken = taken + plus
+        power *= 6.0
+        cur = 2.0 * power * lam
+        done = np.abs(cur - prev) <= LIMIT_REL_TOL * np.abs(cur)
+        stop = rows[done]
+        limits[stop], generations[stop], pluses[stop] = cur[done], gen, taken[done]
+        moving = ~done
+        rows, lam, prev, taken = rows[moving], lam[moving], cur[moving], taken[moving]
+        if not len(rows):
+            return limits, generations, pluses
+    raise ValueError(
+        f"the limit of {lineage_of(rows[0])} did not converge within "
+        f"LIMIT_GENERATION_CAP = {LIMIT_GENERATION_CAP} generations"
+    )
 
 
 def limit_eigenvalue(record: EigenvalueRecord) -> LimitEigenvalue:
@@ -219,22 +323,14 @@ def limit_eigenvalue(record: EigenvalueRecord) -> LimitEigenvalue:
     plus from a value 8, which the returned lineage carries, then minus) and
     renormalize to the limit operator; ValueError if LIMIT_GENERATION_CAP
     generations do not reach LIMIT_REL_TOL."""
-    lam, lineage = record.value, record.lineage
-    power = 6.0 ** record.level
-    prev = 2.0 * power * lam
-    for gen in range(record.level + 1, record.level + LIMIT_GENERATION_CAP + 1):
-        branch = _branches_after(lam)[0]
-        if branch == PLUS:
-            lineage = lineage.extended(PLUS)
-        lam = _child(lam, branch)
-        power *= 6.0
-        cur = 2.0 * power * lam
-        if abs(cur - prev) <= LIMIT_REL_TOL * abs(cur):
-            return LimitEigenvalue(lineage, cur, record.multiplicity, gen)
-        prev = cur
-    raise ValueError(
-        f"the limit of {record.lineage} did not converge within "
-        f"LIMIT_GENERATION_CAP = {LIMIT_GENERATION_CAP} generations"
+    limits, generations, pluses = _limit_loop(
+        np.array([record.value]), record.level, lambda row: record.lineage
+    )
+    return LimitEigenvalue(
+        record.lineage.extended(PLUS * int(pluses[0])),
+        float(limits[0]),
+        record.multiplicity,
+        int(generations[0]),
     )
 
 
@@ -250,19 +346,38 @@ def limit_spectrum(m_birth_max: int, count: int) -> list[LimitEigenvalue]:
     if count < 1:
         raise ValueError("count must be >= 1")
     table = enumerate_spectrum(m_birth_max)
-    if count > len(table.records):
+    if count > len(table.values):
         raise ValueError(
-            f"only {len(table.records)} lineages have births up to level "
+            f"only {len(table.values)} lineages have births up to level "
             f"{m_birth_max}; raise m_birth_max for more"
         )
-    limits = sorted((limit_eigenvalue(r) for r in table.records), key=lambda l: l.value)
-    return limits[:count]
+    limits, generations, pluses = _limit_loop(
+        table.values, table.level, lambda row: table.records[row].lineage
+    )
+    rows = np.argsort(limits, kind="stable")[:count]
+    return [
+        LimitEigenvalue(Lineage(level, born, branches + PLUS * p), value, n, gen)
+        for (_, n, level, born, branches), value, p, gen in zip(
+            table._rows(rows), limits[rows].tolist(), pluses[rows].tolist(),
+            generations[rows].tolist(),
+        )
+    ]
+
+
+def _columns(spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """(values, multiplicities) of a SpectrumTable or a list of records, in record order."""
+    if isinstance(spectrum, SpectrumTable):
+        return spectrum.values, spectrum.multiplicities
+    return (
+        np.array([r.value for r in spectrum], dtype=np.float64),
+        np.array([r.multiplicity for r in spectrum], dtype=np.int64),
+    )
 
 
 def counting_function(spectrum, x: float) -> int:
     """N(x): total multiplicity of eigenvalues <= x."""
-    records = spectrum.records if isinstance(spectrum, SpectrumTable) else spectrum
-    return sum(r.multiplicity for r in records if r.value <= x)
+    values, mults = _columns(spectrum)
+    return int(mults[values <= x].sum())
 
 
 @dataclass(frozen=True)
@@ -410,22 +525,28 @@ def eigenfunction_family(
 # --- serialization ------------------------------------------------------
 
 
-def _record_json(r) -> dict:
-    """The fields an EigenvalueRecord and a LimitEigenvalue share."""
+def _record_json(value, multiplicity, birth_level, birth_value, branches) -> dict:
+    """The fields an EigenvalueRecord and a LimitEigenvalue share, from a
+    SpectrumTable row."""
     return {
-        "value": r.value,
-        "multiplicity": r.multiplicity,
-        "birth_level": r.lineage.birth_level,
-        "birth_value": r.lineage.birth_value,
-        "branches": r.lineage.branches,
+        "value": value,
+        "multiplicity": multiplicity,
+        "birth_level": birth_level,
+        "birth_value": birth_value,
+        "branches": branches,
     }
+
+
+def _table_json(table: SpectrumTable):
+    """The table's records as JSON dicts, read from the columns."""
+    return (_record_json(*row) for row in table._rows())
 
 
 def spectrum_json(table: SpectrumTable) -> dict:
     return {
         "level": table.level,
         "total_multiplicity": table.total_multiplicity,
-        "records": [_record_json(r) for r in table.records],
+        "records": list(_table_json(table)),
     }
 
 
@@ -448,7 +569,7 @@ def spectrum_from_json(data: dict) -> SpectrumTable:
     if total != stated:
         raise ValueError(f"multiplicities add up to {total}, not {stated}")
     table = enumerate_spectrum(data["level"])
-    for i, (want, got) in enumerate(itertools.zip_longest(map(_record_json, table.records), records)):
+    for i, (want, got) in enumerate(itertools.zip_longest(_table_json(table), records)):
         if want != got:
             if got is not None:
                 lineage = Lineage(got["birth_level"], got["birth_value"], got["branches"])
@@ -461,7 +582,14 @@ def spectrum_from_json(data: dict) -> SpectrumTable:
 def limit_spectrum_json(limits) -> dict:
     return {
         "limit_eigenvalues": [
-            {**_record_json(l), "generations_used": l.generations_used} for l in limits
+            {
+                **_record_json(
+                    l.value, l.multiplicity,
+                    l.lineage.birth_level, l.lineage.birth_value, l.lineage.branches,
+                ),
+                "generations_used": l.generations_used,
+            }
+            for l in limits
         ]
     }
 
@@ -471,21 +599,23 @@ def limit_spectrum_csv(limits) -> str:
     return _csv(header, limit_spectrum_json(limits)["limit_eigenvalues"])
 
 
-def _running_counts(records):
-    """(record, total multiplicity up to it) in ascending value order."""
-    ordered = sorted(records, key=lambda r: r.value)
-    return zip(ordered, itertools.accumulate(r.multiplicity for r in ordered))
+def _running_counts(values: np.ndarray, mults: np.ndarray):
+    """Values in ascending order (ties in record order) and the total
+    multiplicity up to each."""
+    order = np.argsort(values, kind="stable")
+    return values[order], np.cumsum(mults[order])
 
 
 def counting_json(spectrum) -> dict:
     """The counting function at each eigenvalue, in record order: {points: [[x, N(x)]]}."""
-    records = spectrum.records if isinstance(spectrum, SpectrumTable) else spectrum
-    counts = {r.value: n for r, n in _running_counts(records)}  # the last of a tie counts all of x
-    return {"points": [[r.value, counts[r.value]] for r in records]}
+    values, mults = _columns(spectrum)
+    xs, ns = _running_counts(values, mults)
+    counts = ns[np.searchsorted(xs, values, side="right") - 1]  # the last of a tie counts all of x
+    return {"points": [[x, n] for x, n in zip(values.tolist(), counts.tolist())]}
 
 
 def counting_csv(spectrum) -> str:
     """CSV of the counting function sampled at each eigenvalue: rows (x, N)."""
-    records = spectrum.records if isinstance(spectrum, SpectrumTable) else spectrum
-    lines = [f"{r.value!r},{n}" for r, n in _running_counts(records)]
+    xs, ns = _running_counts(*_columns(spectrum))
+    lines = [f"{x!r},{n}" for x, n in zip(xs.tolist(), ns.tolist())]
     return "\n".join(["x,N"] + lines) + "\n"

@@ -216,6 +216,18 @@ PINNED_DOCUMENTS = {
         "33c06d66d4fde5baa9e20f1a94fb0c9686b194cdd367e7186b31128bfcaf2d74",
     "spectrum --level 8 --format csv":
         "c9e34e251591657865171eb3c7d15c775c9fd5f456bdb3348ae704d3624c6144",
+    "spectrum --level 12":
+        "41122c6bca20561b3a654db42cb19ec2870eb2bfab3944017639d85895d620e2",
+    "spectrum --level 12 --format csv":
+        "641d2d3311604a9aa7828fcf25eb4b53d68f30056ff0756fa7c08f9a0e4f0d89",
+    "limit-spectrum --births 12 --count 8191 --fit":
+        "f3565c9e9de4bf59cde5fff362bfe08b1c45d30b5db263c5d127a6c282a587fa",
+    "limit-spectrum --births 12 --count 8191 --format csv":
+        "4269d3e4b54bdcf8fc78f6c798754f89109747b99577b934e39d47ded4786bfb",
+    "counting --level 12 --format json":
+        "8722d002a1b760cc3befcb3785d9c6ac6ac4fdb07c50ba1d46ac5846063a18da",
+    "counting --limit --births 12 --count 8191":
+        "b67961659e3d4274f05b6404f95213b871165682ebf5a7c5f685658d569b96e8",
     "limit-spectrum --births 6 --count 120 --format csv":
         "78e78f755049112d55c25a5dcbbf55a51db62d4bafb03a105ef4d96d8585e15d",
     "limit-spectrum --births 8 --count 500 --fit":
@@ -234,6 +246,8 @@ PINNED_DOCUMENTS = {
         "4d6c11b1317f4f740e1965e791f7fd04ba0dc81e6642347ec14642a5c2b3f9f4",
     "oracle-compare --level 2":
         "bc8ece0799c8185d26dfd74ed15d60adc7d565de89e8027cdfced753946e70f9",
+    "oracle-compare --level 3":
+        "e58618fc505eab97ab536e726e3f93a28ca566fa58ece28d3a2ca99dc64aeaac",
     "constants":
         "3fda5ef8be61d47d2c40ad25d7ef77d984f2a4b49b703e743296254af3f7ac97",
     "constants --format json":

@@ -12,6 +12,7 @@ Core claims:
       recovers exponents
 """
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -147,6 +148,33 @@ def test_lineage_replay_consistency():
         for _ in rec.lineage.branches:
             lam = decimate_down(lam)
         assert lam == pytest.approx(rec.lineage.birth_value, rel=1e-10, abs=1e-10)
+
+
+def test_record_values_replay_their_lineages_exactly():
+    # the column step and lineage_value share one child formula, so the
+    # branch bookkeeping reproduces every value bit for bit
+    for rec in enumerate_spectrum(12).records:
+        assert rec.value == lineage_value(rec.lineage)
+
+
+def test_spectrum_table_columns():
+    table = enumerate_spectrum(6)
+    columns = {
+        "values": np.float64, "multiplicities": np.int64, "birth_levels": np.int64,
+        "birth_values": np.float64,
+    }
+    for name, dtype in columns.items():
+        assert getattr(table, name).dtype == dtype
+    for name in [*columns, "branches"]:
+        column = getattr(table, name)
+        with pytest.raises(ValueError):
+            column[0] = column[1]
+    assert table == enumerate_spectrum(6)
+    mults = table.multiplicities.copy()
+    mults[3] += 1
+    assert table != dataclasses.replace(table, multiplicities=mults)
+    assert table.records is table.records
+    assert [r.lineage.branches for r in table.records] == table.branches.tolist()
 
 
 def test_multiplicity_constant_along_lineage():
@@ -296,6 +324,34 @@ def test_limit_spectrum_matches_larger_births(births):
     assert [(l.value, l.multiplicity) for l in small] == [
         (l.value, l.multiplicity) for l in large[:len(small)]
     ]
+
+
+def _limit_walk(value, level):
+    """(limit, generations used, branches added) of one graph value, one
+    scalar step at a time: a value 8 takes one '+' (its minus child 2 is
+    pruned), then minus steps until one more generation moves the scaled
+    value by at most LIMIT_REL_TOL relatively."""
+    added = ""
+    if value == 8.0:
+        value, level, added = 3.0 + math.sqrt(9.0 - value), level + 1, "+"
+    iters = 1
+    while True:
+        cur = _scaled_replay(value, level, iters)
+        if abs(cur - _scaled_replay(value, level, iters - 1)) <= decimation.LIMIT_REL_TOL * abs(cur):
+            return cur, level + iters, added
+        iters += 1
+
+
+@pytest.mark.parametrize("births", [3, 8, 10])
+def test_limit_spectrum_matches_scalar_walk(births):
+    expected = []
+    for rec in enumerate_spectrum(births).records:
+        value, generations, added = _limit_walk(rec.value, rec.level)
+        expected.append((value, rec.multiplicity, rec.lineage.branches + added, generations))
+    expected.sort(key=lambda row: row[0])
+    limits = limit_spectrum(births, 2 ** (births + 1) - 1)
+    got = [(l.value, l.multiplicity, l.lineage.branches, l.generations_used) for l in limits]
+    assert got == expected
 
 
 def test_limit_spectrum_count_guard():
@@ -500,6 +556,14 @@ def test_spectrum_from_json_rejects_contradictions():
     doc = spectrum_json(enumerate_spectrum(2))
     doc["records"][0]["multiplicity"] += 1
     doc["total_multiplicity"] += 1  # consistent with itself, not with level 2
+    with pytest.raises(ValueError):
+        spectrum_from_json(doc)
+    doc = spectrum_json(enumerate_spectrum(2))
+    doc["records"][0]["note"] = "extra key"
+    with pytest.raises(ValueError):
+        spectrum_from_json(doc)
+    doc = spectrum_json(enumerate_spectrum(2))
+    doc["records"][0]["value"] = repr(doc["records"][0]["value"])  # a string, not the float
     with pytest.raises(ValueError):
         spectrum_from_json(doc)
 
