@@ -13,7 +13,6 @@ from .fractal_graph import (
     embed_address,
     expected_vertex_count,
     graph_json,
-    graph_obj,
     vertex_coords,
 )
 from .energy import (
@@ -26,7 +25,6 @@ from .energy import (
     harmonic_extension_cell,
     harmonic_family,
     harmonize,
-    vertex_function_csv,
 )
 from .laplacian import (
     LaplacianEstimate,
@@ -34,7 +32,6 @@ from .laplacian import (
     gauss_green_residual,
     graph_laplacian,
     interior_laplacian,
-    laplacian_csv,
     normal_derivative,
     pointwise_laplacian,
     spline_integral,
@@ -50,7 +47,6 @@ from .decimation import (
     WeylFitDiagnostics,
     born_eigenbasis,
     born_multiplicities,
-    counting_csv,
     counting_json,
     counting_function,
     decimate_down,
@@ -60,10 +56,8 @@ from .decimation import (
     enumerate_spectrum,
     limit_eigenvalue,
     limit_spectrum,
-    limit_spectrum_csv,
     limit_spectrum_json,
     lineage_value,
-    spectrum_csv,
     spectrum_from_json,
     spectrum_json,
     weyl_fit,

@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Every subcommand writes a deterministic document (JSON, CSV or OBJ) to
---output or stdout, so repeated runs with the same flags are
-byte-identical.  Exit codes: 0 ok, 2 usage, 3 domain error (caps,
-invalid values), 4 I/O failure.  Relative --output paths resolve
-against $TETRALAP_OUTDIR when it is set.
+Every subcommand writes a deterministic document (JSON, CSV, OBJ or
+text) to --output or stdout, so repeated runs with the same flags are
+byte-identical.  The library returns data; this module alone turns it
+into text, every CSV document through _csv.  Exit codes: 0 ok, 2 usage,
+3 domain error (caps, invalid values), 4 I/O failure.  Relative
+--output paths resolve against $TETRALAP_OUTDIR when it is set.
 """
 
 from __future__ import annotations
@@ -23,19 +24,16 @@ from .fractal_graph import (
     LevelCapError,
     build_level,
     graph_json,
-    graph_obj,
+    vertex_coords,
 )
-from .energy import harmonic_family, harmonize, vertex_function_csv
-from .laplacian import laplacian_csv, pointwise_laplacian
+from .energy import harmonic_family, harmonize
+from .laplacian import pointwise_laplacian
 from .decimation import (
     DIMENSION_CONSTANTS,
-    counting_csv,
     counting_json,
     enumerate_spectrum,
     limit_spectrum,
-    limit_spectrum_csv,
     limit_spectrum_json,
-    spectrum_csv,
     spectrum_json,
     weyl_fit,
 )
@@ -47,6 +45,9 @@ EXIT_DOMAIN = 3
 EXIT_IO = 4
 
 OUTDIR_ENV = "TETRALAP_OUTDIR"
+
+#: Largest |oracle - decimation| difference oracle-compare accepts.
+ORACLE_TOL = 1e-8
 
 
 def _boundary(text: str):
@@ -63,46 +64,71 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _lines_text(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: str fields as they are, every other field by repr, so floats round-trip."""
+    return _lines_text(
+        [header] + [",".join(f if isinstance(f, str) else repr(f) for f in row) for row in rows]
+    )
+
+
+def _records_csv(records) -> str:
+    """JSON records as CSV, one column per key."""
+    return _csv(",".join(records[0]), (r.values() for r in records))
+
+
 def _cmd_build_graph(args: argparse.Namespace) -> str:
     g = build_level(args.level)
-    if args.format == "obj":
-        return graph_obj(g)
-    return _json_text(graph_json(g))
+    if args.format == "json":
+        return _json_text(graph_json(g))
+    lines = [f"# sierpinski tetrahedron level {g.level}"]
+    lines += [f"v {x!r} {y!r} {z!r}" for x, y, z in vertex_coords(g).tolist()]
+    lines += [f"l {i + 1} {j + 1}" for i, j in g.edges.tolist()]
+    return _lines_text(lines)
 
 
 def _cmd_harmonic(args: argparse.Namespace) -> str:
     u = harmonize(args.boundary, args.level)
+    addresses = [str(a) for a in u.graph.vertices]
+    values = u.values.tolist()
     if args.format == "json":
         return _json_text(
             {
                 "level": args.level,
                 "boundary": list(args.boundary),
-                "values": {str(a): float(v) for a, v in zip(u.graph.vertices, u.values)},
+                "values": dict(zip(addresses, values)),
             }
         )
-    return vertex_function_csv(u)
+    coords = vertex_coords(u.graph).tolist()
+    rows = ((a, *xyz, v) for a, xyz, v in zip(addresses, coords, values))
+    return _csv("address,x,y,z,value", rows)
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> str:
-    table = enumerate_spectrum(args.level)
+    doc = spectrum_json(enumerate_spectrum(args.level))
     if args.format == "csv":
-        return spectrum_csv(table)
-    return _json_text(spectrum_json(table))
+        return _records_csv(doc["records"])
+    return _json_text(doc)
 
 
 def _cmd_limit_spectrum(args: argparse.Namespace) -> str:
+    if args.fit and args.format != "json":
+        raise ValueError("--fit is written only in the JSON format")
     limits = limit_spectrum(args.births, args.count)
+    doc = limit_spectrum_json(limits)
     if args.format == "csv":
-        return limit_spectrum_csv(limits)
-    payload = limit_spectrum_json(limits)
+        return _records_csv(doc["limit_eigenvalues"])
     if args.fit:
         alpha, diag = weyl_fit(limits)
-        payload["weyl_fit"] = {
+        doc["weyl_fit"] = {
             "alpha_hat": alpha,
             "alpha_expected": DIMENSION_CONSTANTS.weyl_alpha,
             **dataclasses.asdict(diag),
         }
-    return _json_text(payload)
+    return _json_text(doc)
 
 
 def _cmd_counting(args: argparse.Namespace) -> str:
@@ -110,9 +136,10 @@ def _cmd_counting(args: argparse.Namespace) -> str:
         records = limit_spectrum(args.births, args.count)
     else:
         records = enumerate_spectrum(args.level)
+    doc = counting_json(records)
     if args.format == "json":
-        return _json_text(counting_json(records))
-    return counting_csv(records)
+        return _json_text(doc)
+    return _csv("x,N", doc["points"])
 
 
 def _cmd_laplacian_check(args: argparse.Namespace) -> str:
@@ -121,42 +148,39 @@ def _cmd_laplacian_check(args: argparse.Namespace) -> str:
     if args.level < 1:  # level 0 has no interior vertex to probe
         raise ValueError(f"level must be nonnegative and nonzero, got {args.level}")
     u = harmonic_family(args.boundary)
-    base = build_level(args.level)
     if args.vertex is not None:
         targets = [Address.from_string(args.vertex)]
     else:
-        targets = base.vertices[4:]
+        targets = build_level(args.level).vertices[4:]
     levels = range(args.level, args.level + args.depth + 1)
     estimates = [pointwise_laplacian(u, x, m) for x in targets for m in levels]
     estimates.sort(key=lambda e: (e.level, str(e.vertex)))
-    return laplacian_csv(estimates)
+    return _csv("level,address,value", ((e.level, str(e.vertex), e.value) for e in estimates))
 
 
 def _cmd_oracle_compare(args: argparse.Namespace) -> str:
-    g = build_level(args.level)
-    decomp = oracle.jacobi_eigen(oracle.assemble(args.level, graph=g))
+    oracle_values = oracle.jacobi_eigen(oracle.assemble(args.level)).values.tolist()
     table = enumerate_spectrum(args.level)
     expanded = np.repeat(table.values, table.multiplicities).tolist()  # ascending, as floats
-    lines = ["level,index,oracle_eigenvalue,decimation_eigenvalue,abs_diff"]
-    worst = 0.0
-    for i, (ov, dv) in enumerate(zip(decomp.values, expanded)):
-        diff = abs(float(ov) - dv)
-        worst = max(worst, diff)
-        lines.append(f"{args.level},{i},{float(ov)!r},{dv!r},{diff!r}")
-    body = "\n".join(lines) + "\n"
-    if worst > args.tol:
+    rows = [
+        (args.level, i, ov, dv, abs(ov - dv))
+        for i, (ov, dv) in enumerate(zip(oracle_values, expanded))
+    ]
+    worst = max(row[-1] for row in rows)
+    if worst > ORACLE_TOL:
         raise ValueError(
-            f"oracle and decimation disagree: max |diff| {worst:.3e} > tol {args.tol:.1e}"
+            f"oracle and decimation disagree: max |diff| {worst:.3e} > tol {ORACLE_TOL:.1e}"
         )
-    return body
+    return _csv("level,index,oracle_eigenvalue,decimation_eigenvalue,abs_diff", rows)
 
 
 def _cmd_constants(args: argparse.Namespace) -> str:
     table = DIMENSION_CONSTANTS.as_dict()
     if args.format == "json":
         return _json_text(table)
-    lines = [f"{name}={entry['value']!r}  # {entry['formula']}" for name, entry in table.items()]
-    return "\n".join(lines) + "\n"
+    return _lines_text(
+        f"{name}={entry['value']!r}  # {entry['formula']}" for name, entry in table.items()
+    )
 
 
 _HANDLERS = {
@@ -247,7 +271,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = add("oracle-compare", help="dense-oracle vs decimation eigenvalues")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
 
     p = add("constants", help="dimension and scaling constants")
     p.add_argument("--format", choices=("text", "json"), default="text")

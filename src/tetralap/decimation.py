@@ -550,32 +550,35 @@ def spectrum_json(table: SpectrumTable) -> dict:
     }
 
 
-def _csv(header: str, rows) -> str:
-    """JSON-ready rows as CSV, fields in key order; floats via repr, so they round-trip."""
-    lines = [",".join(v if isinstance(v, str) else repr(v) for v in r.values()) for r in rows]
-    return "\n".join([header] + lines) + "\n"
-
-
-def spectrum_csv(table: SpectrumTable) -> str:
-    header = "value,multiplicity,birth_level,birth_value,branches"
-    return _csv(header, spectrum_json(table)["records"])
-
-
 def spectrum_from_json(data: dict) -> SpectrumTable:
     """Inverse of spectrum_json: the table of the document's level; ValueError
-    unless the document is exactly that table's JSON."""
-    records = data["records"]
-    total, stated = sum(r["multiplicity"] for r in records), data["total_multiplicity"]
+    unless the document is exactly that table's JSON (LevelCapError for a
+    level above SPECTRUM_LEVEL_CAP)."""
+    if not isinstance(data, dict) or data.keys() != {"level", "total_multiplicity", "records"}:
+        raise ValueError("a spectrum document is an object with the keys "
+                         "level, total_multiplicity and records, and no others")
+    level, stated, records = data["level"], data["total_multiplicity"], data["records"]
+    if type(level) is not int or type(stated) is not int:
+        raise ValueError(f"level and total_multiplicity must be integers: {level!r}, {stated!r}")
+    if not isinstance(records, list) or not all(
+        isinstance(r, dict) and type(r.get("multiplicity")) is int for r in records
+    ):
+        raise ValueError("records must be a list of objects with an integer multiplicity")
+    total = sum(r["multiplicity"] for r in records)
     if total != stated:
         raise ValueError(f"multiplicities add up to {total}, not {stated}")
-    table = enumerate_spectrum(data["level"])
+    table = enumerate_spectrum(level)
     for i, (want, got) in enumerate(itertools.zip_longest(_table_json(table), records)):
-        if want != got:
-            if got is not None:
-                lineage = Lineage(got["birth_level"], got["birth_value"], got["branches"])
-                if lineage.level != table.level:
-                    raise ValueError(f"record {i}: {lineage} does not end at level {table.level}")
-            raise ValueError(f"record {i} differs from the level-{table.level} spectrum")
+        if want == got:
+            continue
+        differs = ValueError(f"record {i} differs from the level-{table.level} spectrum")
+        try:
+            lineage = Lineage(got["birth_level"], got["birth_value"], got["branches"])
+        except (KeyError, TypeError):  # no record here, or one without a lineage
+            raise differs from None
+        if lineage.level != table.level:
+            raise ValueError(f"record {i}: {lineage} does not end at level {table.level}")
+        raise differs
     return table
 
 
@@ -594,28 +597,10 @@ def limit_spectrum_json(limits) -> dict:
     }
 
 
-def limit_spectrum_csv(limits) -> str:
-    header = "value,multiplicity,birth_level,birth_value,branches,generations_used"
-    return _csv(header, limit_spectrum_json(limits)["limit_eigenvalues"])
-
-
-def _running_counts(values: np.ndarray, mults: np.ndarray):
-    """Values in ascending order (ties in record order) and the total
-    multiplicity up to each."""
-    order = np.argsort(values, kind="stable")
-    return values[order], np.cumsum(mults[order])
-
-
 def counting_json(spectrum) -> dict:
     """The counting function at each eigenvalue, in record order: {points: [[x, N(x)]]}."""
     values, mults = _columns(spectrum)
-    xs, ns = _running_counts(values, mults)
+    order = np.argsort(values, kind="stable")
+    xs, ns = values[order], np.cumsum(mults[order])
     counts = ns[np.searchsorted(xs, values, side="right") - 1]  # the last of a tie counts all of x
     return {"points": [[x, n] for x, n in zip(values.tolist(), counts.tolist())]}
-
-
-def counting_csv(spectrum) -> str:
-    """CSV of the counting function sampled at each eigenvalue: rows (x, N)."""
-    xs, ns = _running_counts(*_columns(spectrum))
-    lines = [f"{x!r},{n}" for x, n in zip(xs.tolist(), ns.tolist())]
-    return "\n".join(["x,N"] + lines) + "\n"

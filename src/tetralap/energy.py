@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractal_graph import LETTERS, Address, LevelGraph, build_level, refine, vertex_coords
+from .fractal_graph import LETTERS, Address, LevelGraph, build_level, refine
 
 
 @dataclass
@@ -149,11 +149,3 @@ def cell_restriction(u: VertexFunction, letter: int, target: LevelGraph | None =
     vals = np.empty(target.n_vertices)
     vals[target.cells] = u.values[g.cells[letter * n:(letter + 1) * n]]
     return VertexFunction(target, vals)
-
-
-def vertex_function_csv(u: VertexFunction) -> str:
-    """CSV rows (address, x, y, z, value); floats serialized round-trip."""
-    lines = ["address,x,y,z,value"]
-    for a, (x, y, z), val in zip(u.graph.vertices, vertex_coords(u.graph).tolist(), u.values):
-        lines.append(f"{a},{x!r},{y!r},{z!r},{float(val)!r}")
-    return "\n".join(lines) + "\n"

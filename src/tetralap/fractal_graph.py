@@ -270,13 +270,3 @@ def graph_json(g: LevelGraph) -> dict:
         ],
         "edges": g.edges.tolist(),
     }
-
-
-def graph_obj(g: LevelGraph) -> str:
-    """Wireframe OBJ: one ``v`` per vertex, one ``l`` per edge (1-indexed)."""
-    lines = [f"# sierpinski tetrahedron level {g.level}"]
-    for x, y, z in vertex_coords(g).tolist():
-        lines.append(f"v {x!r} {y!r} {z!r}")
-    for u, v in g.edges.tolist():
-        lines.append(f"l {u + 1} {v + 1}")
-    return "\n".join(lines) + "\n"

@@ -108,11 +108,3 @@ def gauss_green_residual(u: VertexFunction, v: VertexFunction) -> float:
     interior_term = -scale * float(np.sum(v.values[4:] * interior_laplacian(u)))
     boundary_term = float(np.sum(scale * v.values[:4] * -_neighbor_sums(u, 0, 4)))
     return lhs - (interior_term + boundary_term)
-
-
-def laplacian_csv(estimates) -> str:
-    """CSV rows (level, address, value) for LaplacianEstimate tables."""
-    lines = ["level,address,value"]
-    for e in estimates:
-        lines.append(f"{e.level},{e.vertex},{e.value!r}")
-    return "\n".join(lines) + "\n"

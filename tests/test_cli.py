@@ -1,14 +1,16 @@
 """Command-line interface: formats, determinism, round trips, exit codes."""
 
+import argparse
 import hashlib
 import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tetralap import decimation, spectrum_from_json, enumerate_spectrum
-from tetralap.cli import OUTDIR_ENV, main
+from tetralap.cli import OUTDIR_ENV, _parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -74,6 +76,19 @@ def test_build_graph_obj(capsys):
     assert sum(1 for l in out.splitlines() if l.startswith("l ")) == 24
 
 
+def test_graph_obj_wireframe(capsys):
+    _, text, _ = run_cli(capsys, "build-graph", "--level", "1", "--format", "obj")
+    lines = text.strip().splitlines()
+    vs = [l for l in lines if l.startswith("v ")]
+    assert len(vs) == 10
+    assert sum(1 for l in lines if l.startswith("l ")) == 24
+    assert not any(l.startswith("f ") for l in lines)
+    # coordinates are plain parseable floats
+    for l in vs:
+        _, x, y, z = l.split()
+        assert np.isfinite([float(x), float(y), float(z)]).all()
+
+
 def test_build_graph_json_to_file(tmp_path, capsys):
     target = tmp_path / "graph.json"
     code, out, _ = run_cli(
@@ -109,12 +124,29 @@ def test_limit_spectrum_with_fit(capsys):
     assert abs(fit["alpha_hat"] - fit["alpha_expected"]) < 0.05
 
 
+def test_limit_spectrum_fit_needs_json(capsys):
+    code, out, err = run_cli(
+        capsys, "limit-spectrum", "--births", "6", "--count", "120", "--fit", "--format", "csv"
+    )
+    assert code == 3
+    assert out == ""
+    assert "--fit" in json.loads(err)["error"]["message"]
+
+
 def test_counting_csv_level(capsys):
     code, out, _ = run_cli(capsys, "counting", "--level", "2")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "x,N"
     assert lines[-1].endswith(",30")
+
+
+def test_counting_csv_monotone(capsys):
+    _, text, _ = run_cli(capsys, "counting", "--level", "3")
+    rows = [line.split(",") for line in text.strip().splitlines()[1:]]
+    ns = [int(n) for _, n in rows]
+    assert ns == sorted(ns)
+    assert ns[-1] == 126
 
 
 def test_counting_limit_mode(capsys):
@@ -135,6 +167,17 @@ def test_laplacian_check_table(capsys):
     assert lines[0] == "level,address,value"
     assert len(lines) == 4  # levels 1..3 at one vertex
     assert all(abs(float(l.split(",")[2])) < 1e-9 for l in lines[1:])
+
+
+def test_laplacian_csv_format(capsys):
+    _, text, _ = run_cli(
+        capsys, "laplacian-check", "--boundary", "1,0,0,0", "--level", "1",
+        "--depth", "1", "--vertex", "0:1",
+    )
+    lines = text.strip().splitlines()
+    assert lines[0] == "level,address,value"
+    assert lines[1].startswith("1,0:1,")
+    assert len(lines) == 3
 
 
 def test_oracle_compare_level2(capsys):
@@ -189,6 +232,13 @@ def test_bad_flags_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_oracle_compare_has_no_tol_flag(capsys):
+    # the tolerance is the constant ORACLE_TOL, not a flag
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-compare", "--level", "2", "--tol", "nan"])
+    assert exc.value.code == 2
+
+
 def test_negative_boundary_as_separate_value(capsys):
     _, glued, _ = run_cli(capsys, "harmonic", "--boundary=-0.3,0.7,0.1,-0.9", "--level", "1")
     code, spaced, _ = run_cli(capsys, "harmonic", "--boundary", "-0.3,0.7,0.1,-0.9", "--level", "1")
@@ -208,6 +258,8 @@ PINNED_DOCUMENTS = {
         "f365ebb78fbe7410bc4eb1a84a2f908cae5a7c20bdc48d34acec7fcf3a09cf33",
     "build-graph --level 5 --format obj":
         "305968813fe4cf31dc7952c4f535be20427fe3b561d97d2eb63c3fa7deb6294c",
+    "build-graph --level 5 --format json":
+        "40294e5dde2e0b28e498b39760b8ad1d64113996e8bafcb42932efefa8ed0d9a",
     "harmonic --boundary=-0.3,0.7,0.1,-0.9 --level 6 --format csv":
         "e15be08e9086ff8d553c49f73df74aef075d68d7de172a597a11244d5777b2ac",
     "harmonic --boundary=0.25,-1.5,0.1,0.9 --level 5 --format json":
@@ -224,6 +276,8 @@ PINNED_DOCUMENTS = {
         "f3565c9e9de4bf59cde5fff362bfe08b1c45d30b5db263c5d127a6c282a587fa",
     "limit-spectrum --births 12 --count 8191 --format csv":
         "4269d3e4b54bdcf8fc78f6c798754f89109747b99577b934e39d47ded4786bfb",
+    "counting --level 12":
+        "a92b80e1be88580d31e48eda656943ec2fe7a13e1edba2b4091fe19ed7146b6f",
     "counting --level 12 --format json":
         "8722d002a1b760cc3befcb3785d9c6ac6ac4fdb07c50ba1d46ac5846063a18da",
     "counting --limit --births 12 --count 8191":
@@ -260,6 +314,21 @@ def test_pinned_document_digests(capsys, argv):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DOCUMENTS[argv]
+
+
+def test_every_format_is_pinned():
+    parser = _parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    wanted = {
+        (name, fmt)
+        for name, sub in subcommands.choices.items()
+        for fmt in next((a.choices for a in sub._actions if a.dest == "format"), [None])
+    }
+    pinned = set()
+    for argv in PINNED_DOCUMENTS:
+        args = parser.parse_args(argv.split())
+        pinned.add((args.subcommand, getattr(args, "format", None)))
+    assert wanted <= pinned, sorted(wanted - pinned, key=str)
 
 
 def test_unknown_vertex_exit_code(capsys):

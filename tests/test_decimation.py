@@ -27,7 +27,6 @@ from tetralap import (
     VertexFunction,
     born_eigenbasis,
     born_multiplicities,
-    counting_csv,
     counting_function,
     decimate_down,
     decimate_up,
@@ -497,14 +496,6 @@ def test_counting_function_step_behaviour():
         assert below < at == above
 
 
-def test_counting_csv_monotone():
-    text = counting_csv(enumerate_spectrum(3))
-    rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-    ns = [int(n) for _, n in rows]
-    assert ns == sorted(ns)
-    assert ns[-1] == 126
-
-
 def test_weyl_fit_recovers_pure_power_law():
     # counts follow N(x) = x^alpha exactly when values are x = N^(1/alpha)
     alpha = 0.61
@@ -566,6 +557,36 @@ def test_spectrum_from_json_rejects_contradictions():
     doc["records"][0]["value"] = repr(doc["records"][0]["value"])  # a string, not the float
     with pytest.raises(ValueError):
         spectrum_from_json(doc)
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+def _with_record0(doc, record):
+    return {**doc, "records": [record] + doc["records"][1:]}
+
+
+@pytest.mark.parametrize("malform", [
+    pytest.param(lambda d: {**d, "note": "extra key"}, id="extra-key"),
+    pytest.param(lambda d: _without(d, "level"), id="no-level"),
+    pytest.param(lambda d: {**d, "level": 2.0}, id="level-float"),
+    pytest.param(lambda d: {**d, "level": "2"}, id="level-string"),
+    pytest.param(lambda d: {**d, "level": True}, id="level-bool"),
+    pytest.param(lambda d: {**d, "total_multiplicity": 30.0}, id="total-float"),
+    pytest.param(lambda d: {**d, "records": None}, id="records-null"),
+    pytest.param(lambda d: _with_record0(d, _without(d["records"][0], "multiplicity")),
+                 id="record-without-multiplicity"),
+    pytest.param(lambda d: _with_record0(d, _without(d["records"][0], "birth_level")),
+                 id="record-without-birth-level"),
+    pytest.param(lambda d: _with_record0(d, {**d["records"][0], "birth_level": "1"}),
+                 id="birth-level-string"),
+    pytest.param(lambda d: _with_record0(d, list(d["records"][0].values())), id="record-list"),
+    pytest.param(lambda d: list(d.items()), id="document-list"),
+])
+def test_spectrum_from_json_rejects_malformed(malform):
+    with pytest.raises(ValueError):
+        spectrum_from_json(malform(spectrum_json(enumerate_spectrum(2))))
 
 
 def test_spectrum_json_fields():

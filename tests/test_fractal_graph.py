@@ -22,7 +22,6 @@ from tetralap import (
     embed_address,
     expected_vertex_count,
     graph_json,
-    graph_obj,
     vertex_coords,
 )
 
@@ -300,16 +299,3 @@ def test_graph_json_schema(graphs):
     first = doc["vertices"][0]
     assert set(first) == {"id", "word", "base", "xyz"}
     assert all(i < j for i, j in doc["edges"])
-
-
-def test_graph_obj_wireframe(graphs):
-    text = graph_obj(graphs(1))
-    lines = text.strip().splitlines()
-    vs = [l for l in lines if l.startswith("v ")]
-    assert len(vs) == 10
-    assert sum(1 for l in lines if l.startswith("l ")) == 24
-    assert not any(l.startswith("f ") for l in lines)
-    # coordinates are plain parseable floats
-    for l in vs:
-        _, x, y, z = l.split()
-        assert np.isfinite([float(x), float(y), float(z)]).all()

@@ -23,7 +23,6 @@ from tetralap import (
     harmonic_family,
     harmonize,
     interior_laplacian,
-    laplacian_csv,
     normal_derivative,
     pointwise_laplacian,
     spline_integral,
@@ -264,13 +263,3 @@ def test_gauss_green_graph_mismatch(graphs):
         gauss_green_residual(
             VertexFunction.zeros(graphs(1)), VertexFunction.zeros(graphs(2))
         )
-
-
-def test_laplacian_csv_format():
-    fam = harmonic_family((1, 0, 0, 0))
-    rows = [pointwise_laplacian(fam, Address((0,), 1), m) for m in range(1, 3)]
-    text = laplacian_csv(rows)
-    lines = text.strip().splitlines()
-    assert lines[0] == "level,address,value"
-    assert lines[1].startswith("1,0:1,")
-    assert len(lines) == 3
