@@ -13,6 +13,7 @@ from .fractal_graph import (
     embed_address,
     expected_vertex_count,
     graph_json,
+    level_graph,
     vertex_coords,
 )
 from .energy import (

@@ -37,7 +37,7 @@ from .decimation import (
     spectrum_json,
     weyl_fit,
 )
-from . import oracle
+from . import fractal_graph, oracle
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -132,10 +132,12 @@ def _cmd_limit_spectrum(args: argparse.Namespace) -> str:
 
 
 def _cmd_counting(args: argparse.Namespace) -> str:
-    if args.use_limit:
-        records = limit_spectrum(args.births, args.count)
-    else:
-        records = enumerate_spectrum(args.level)
+    mode = "with" if args.use_limit else "without"
+    for flag in ("level",) if args.use_limit else ("births", "count"):
+        if flag in args:  # the parser sets only the flags given
+            raise ValueError(f"--{flag} does not apply {mode} --limit")
+    records = (limit_spectrum(getattr(args, "births", 6), getattr(args, "count", 100))
+               if args.use_limit else enumerate_spectrum(getattr(args, "level", 3)))
     doc = counting_json(records)
     if args.format == "json":
         return _json_text(doc)
@@ -147,12 +149,13 @@ def _cmd_laplacian_check(args: argparse.Namespace) -> str:
         raise ValueError(f"depth must be nonnegative, got {args.depth}")
     if args.level < 1:  # level 0 has no interior vertex to probe
         raise ValueError(f"level must be nonnegative and nonzero, got {args.level}")
+    top, cap = args.level + args.depth, fractal_graph.DEFAULT_LEVEL_CAP
+    if top > cap:  # refused before any graph is built
+        raise LevelCapError(f"--level + --depth is level {top}, above the graph cap {cap}")
     u = harmonic_family(args.boundary)
-    if args.vertex is not None:
-        targets = [Address.from_string(args.vertex)]
-    else:
-        targets = build_level(args.level).vertices[4:]
-    levels = range(args.level, args.level + args.depth + 1)
+    targets = ([Address.from_string(args.vertex)] if args.vertex is not None
+               else u(args.level).graph.vertices[4:])
+    levels = range(args.level, top + 1)
     estimates = [pointwise_laplacian(u, x, m) for x in targets for m in levels]
     estimates.sort(key=lambda e: (e.level, str(e.vertex)))
     return _csv("level,address,value", ((e.level, str(e.vertex), e.value) for e in estimates))
@@ -183,22 +186,10 @@ def _cmd_constants(args: argparse.Namespace) -> str:
     )
 
 
-_HANDLERS = {
-    "build-graph": _cmd_build_graph,
-    "harmonic": _cmd_harmonic,
-    "spectrum": _cmd_spectrum,
-    "limit-spectrum": _cmd_limit_spectrum,
-    "counting": _cmd_counting,
-    "laplacian-check": _cmd_laplacian_check,
-    "oracle-compare": _cmd_oracle_compare,
-    "constants": _cmd_constants,
-}
-
-
 def run(args: argparse.Namespace) -> int:
     """Execute one configured subcommand; returns the exit status."""
     try:
-        text = _HANDLERS[args.subcommand](args)
+        text = args.handler(args)
     except (LevelCapError, ValueError, KeyError) as exc:
         message = str(exc) if not isinstance(exc, KeyError) else str(exc.args[0])
         print(json.dumps({"error": {"code": EXIT_DOMAIN, "message": message}}), file=sys.stderr)
@@ -230,49 +221,53 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, **kwargs):
+    def add(name, handler, **kwargs):
         p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
         p.add_argument("--output", default=None, help="output file (default stdout)")
         return p
 
-    p = add("build-graph", help="export a level graph")
+    p = add("build-graph", _cmd_build_graph, help="export a level graph")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--format", choices=("json", "obj"), default="json")
 
-    p = add("harmonic", help="harmonic function with given corner values")
+    p = add("harmonic", _cmd_harmonic, help="harmonic function with given corner values")
     p.add_argument("--boundary", type=_boundary, required=True, metavar="a,b,c,d")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = add("spectrum", help="complete Dirichlet spectrum at one level")
+    p = add("spectrum", _cmd_spectrum, help="complete Dirichlet spectrum at one level")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = add("limit-spectrum", help="smallest eigenvalues of the limit operator")
+    p = add("limit-spectrum", _cmd_limit_spectrum,
+            help="smallest eigenvalues of the limit operator")
     p.add_argument("--births", type=int, default=6, help="largest birth level enumerated")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--fit", action="store_true", help="append the counting-exponent fit")
 
-    p = add("counting", help="eigenvalue counting function")
-    p.add_argument("--level", type=int, default=3)
-    p.add_argument("--limit", action="store_true", dest="use_limit",
+    p = add("counting", _cmd_counting, help="eigenvalue counting function",
+            argument_default=argparse.SUPPRESS)
+    p.add_argument("--level", type=int, help="graph level counted (default 3)")
+    p.add_argument("--limit", action="store_true", dest="use_limit", default=False,
                    help="count limit eigenvalues instead of one graph level")
-    p.add_argument("--births", type=int, default=6)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--births", type=int, help="largest birth level, with --limit (default 6)")
+    p.add_argument("--count", type=int, help="limit eigenvalues counted (default 100)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = add("laplacian-check", help="renormalized-Laplacian convergence table")
+    p = add("laplacian-check", _cmd_laplacian_check,
+            help="renormalized-Laplacian convergence table")
     p.add_argument("--boundary", type=_boundary, default=(1.0, 0.0, 0.0, 0.0),
                    metavar="a,b,c,d")
     p.add_argument("--level", type=int, default=1, help="level whose interior is probed")
     p.add_argument("--depth", type=int, default=3, help="how many further levels to report")
     p.add_argument("--vertex", default=None, help="probe one address, e.g. '0:1'")
 
-    p = add("oracle-compare", help="dense-oracle vs decimation eigenvalues")
+    p = add("oracle-compare", _cmd_oracle_compare, help="dense-oracle vs decimation eigenvalues")
     p.add_argument("--level", type=int, required=True)
 
-    p = add("constants", help="dimension and scaling constants")
+    p = add("constants", _cmd_constants, help="dimension and scaling constants")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser

@@ -39,7 +39,7 @@ from .fractal_graph import (
     CELL_MIDPOINT_PAIRS,
     LevelCapError,
     LevelGraph,
-    build_level,
+    level_graph,
     refine,
 )
 from .energy import VertexFunction
@@ -442,9 +442,7 @@ def eigenfunction_extend(
             f"lam={lambda_m} is degenerate; born eigenfunctions come from the "
             "dense-oracle kernel (born_eigenbasis), not from extension"
         )
-    g = u.graph
-    if target is None:
-        target = build_level(g.level + 1)
+    target = level_graph(u.graph.level + 1, target)
     denom = (2.0 - lambda_m) * (6.0 - lambda_m)
 
     def midpoints(*cv):
@@ -454,7 +452,7 @@ def eigenfunction_extend(
             out.append(((4.0 - lambda_m) * (cv[i] + cv[j]) + 2.0 * (cv[k] + cv[l])) / denom)
         return out
 
-    return VertexFunction(target, refine(g, target, u.values, midpoints))
+    return VertexFunction(target, refine(u.graph, target, u.values, midpoints))
 
 
 def born_eigenbasis(
@@ -467,14 +465,12 @@ def born_eigenbasis(
     """Orthonormal eigenfunctions for a born eigenvalue, from the oracle.
 
     Interior kernel vectors of the Dirichlet matrix padded with zero
-    boundary values.
+    boundary values.  A prebuilt graph or decomposition must be of this level.
     """
-    g = graph if graph is not None else build_level(level)
-    decomp = (
-        decomposition
-        if decomposition is not None
-        else _oracle.jacobi_eigen(_oracle.assemble(level, graph=g))
-    )
+    g = level_graph(level, graph)
+    decomp = decomposition or _oracle.jacobi_eigen(_oracle.assemble(level, graph=g))
+    if len(decomp.vectors) != g.n_vertices - 4:
+        raise ValueError(f"decomposition of dim {len(decomp.vectors)} is not of level {level}")
     picks = np.nonzero(np.abs(decomp.values - value) < _oracle.CLUSTER_TOL)[0]
     out = []
     for idx in picks:
@@ -569,7 +565,12 @@ def spectrum_from_json(data: dict) -> SpectrumTable:
         raise ValueError(f"multiplicities add up to {total}, not {stated}")
     table = enumerate_spectrum(level)
     for i, (want, got) in enumerate(itertools.zip_longest(_table_json(table), records)):
-        if want == got:
+        # dict == takes 1, 1.0 and true for one another, so each field's type is checked too
+        if want == got and (
+            type(got["value"]) is type(got["birth_value"]) is float
+            and type(got["multiplicity"]) is type(got["birth_level"]) is int
+            and type(got["branches"]) is str
+        ):
             continue
         differs = ValueError(f"record {i} differs from the level-{table.level} spectrum")
         try:

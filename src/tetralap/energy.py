@@ -15,11 +15,12 @@ one such problem per cell.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fractal_graph import LETTERS, Address, LevelGraph, build_level, refine
+from .fractal_graph import LETTERS, Address, LevelGraph, level_graph, refine
 
 
 @dataclass
@@ -91,10 +92,8 @@ def harmonic_extend(u: VertexFunction, target: LevelGraph | None = None) -> Vert
     Agrees with u on V_m; each cell's six new midpoints get the
     closed-form values.  Pass ``target`` to reuse a prebuilt graph.
     """
-    g = u.graph
-    if target is None:
-        target = build_level(g.level + 1)
-    return VertexFunction(target, refine(g, target, u.values, harmonic_extension_cell))
+    target = level_graph(u.graph.level + 1, target)
+    return VertexFunction(target, refine(u.graph, target, u.values, harmonic_extension_cell))
 
 
 def harmonize(boundary, m: int, *, graphs=None) -> VertexFunction:
@@ -110,7 +109,7 @@ def harmonize(boundary, m: int, *, graphs=None) -> VertexFunction:
     if m < 0:
         raise ValueError(f"level must be nonnegative, got {m}")
     lookup = graphs or {}
-    u = VertexFunction(lookup.get(0) or build_level(0), np.array(boundary))
+    u = VertexFunction(level_graph(0, lookup.get(0)), np.array(boundary))
     for k in range(1, m + 1):
         u = harmonic_extend(u, target=lookup.get(k))
     return u
@@ -118,14 +117,12 @@ def harmonize(boundary, m: int, *, graphs=None) -> VertexFunction:
 
 def harmonic_family(boundary):
     """level -> VertexFunction for one harmonic function, cached across levels."""
-    cache = {0: harmonize(boundary, 0)}
 
+    @functools.cache
     def at_level(m: int) -> VertexFunction:
-        top = max(cache)
-        for k in range(top + 1, m + 1):
-            cache[k] = harmonic_extend(cache[k - 1])
-        return cache[m]
+        return harmonic_extend(at_level(m - 1)) if m > 0 else harmonize(boundary, m)
 
+    at_level(0)  # checks and copies the boundary data now
     return at_level
 
 
@@ -140,10 +137,7 @@ def cell_restriction(u: VertexFunction, letter: int, target: LevelGraph | None =
         raise ValueError("cell restriction needs level >= 1")
     if letter not in LETTERS:
         raise ValueError(f"cell letter must lie in 0..3, got {letter}")
-    if target is None:
-        target = build_level(g.level - 1)
-    elif target.level != g.level - 1:
-        raise ValueError(f"target level {target.level} is not {g.level - 1}")
+    target = level_graph(g.level - 1, target)
     # in product order, cell (letter,) + W of g is cell letter * n + (index of W in target)
     n = len(target.cells)
     vals = np.empty(target.n_vertices)

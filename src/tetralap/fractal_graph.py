@@ -205,6 +205,15 @@ def build_level(m: int) -> LevelGraph:
     )
 
 
+def level_graph(m: int, given: LevelGraph | None = None) -> LevelGraph:
+    """The caller's prebuilt graph once it is checked to be level m, else level m built."""
+    if given is None:
+        return build_level(m)
+    if given.level != m:
+        raise ValueError(f"target level {given.level} is not {m}")
+    return given
+
+
 def refine(parent: LevelGraph, target: LevelGraph, values: np.ndarray, midpoints) -> np.ndarray:
     """Values on the level-(m+1) graph from values on the level-m graph.
 
@@ -215,8 +224,7 @@ def refine(parent: LevelGraph, target: LevelGraph, values: np.ndarray, midpoints
     parent corner j when i == j and at the midpoint of parent edge
     (i, j) otherwise.
     """
-    if target.level != parent.level + 1:
-        raise ValueError(f"target level {target.level} is not {parent.level + 1}")
+    target = level_graph(parent.level + 1, target)
     child = target.cells.reshape(-1, 4, 4)
     corners = values[parent.cells]
     out = np.empty(target.n_vertices)

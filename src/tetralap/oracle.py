@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractal_graph import LevelCapError, LevelGraph, build_level
+from .fractal_graph import LevelCapError, LevelGraph, level_graph
 
 ORACLE_LEVEL_CAP = 5
 
@@ -63,9 +63,7 @@ def assemble(m: int, *, graph: LevelGraph | None = None) -> DirichletMatrix:
             f"dense oracle capped at level {ORACLE_LEVEL_CAP} "
             f"(dim {2 * (4 ** ORACLE_LEVEL_CAP - 1)}); got {m}"
         )
-    g = graph if graph is not None else build_level(m)
-    if g.level != m:
-        raise ValueError(f"graph level {g.level} does not match requested level {m}")
+    g = level_graph(m, graph)
     n = g.n_vertices - 4
     a = 6.0 * np.eye(n)
     i, j = (g.edges[g.edges[:, 0] >= 4] - 4).T  # edges are (i, j) with i < j

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tetralap import decimation, spectrum_from_json, enumerate_spectrum
+from tetralap import decimation, fractal_graph, spectrum_from_json, enumerate_spectrum
 from tetralap.cli import OUTDIR_ENV, _parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -226,6 +226,48 @@ def test_negative_level_or_depth_exit_code(capsys, argv):
     assert "nonnegative" in json.loads(err)["error"]["message"]
 
 
+@pytest.fixture
+def built_levels(monkeypatch):
+    """The levels build_level is asked for, in order, with the graph cap lowered to 4."""
+    built = []
+    real = fractal_graph.build_level
+    monkeypatch.setattr(fractal_graph, "build_level", lambda m: built.append(m) or real(m))
+    monkeypatch.setattr(fractal_graph, "DEFAULT_LEVEL_CAP", 4)
+    return built
+
+
+def test_laplacian_check_refuses_depth_above_cap_before_building(capsys, built_levels):
+    code, out, err = run_cli(capsys, "laplacian-check", "--level", "1", "--depth", "6")
+    assert code == 3
+    assert out == ""
+    assert "level 7" in json.loads(err)["error"]["message"]
+    assert built_levels == []
+
+
+def test_laplacian_check_builds_each_level_once(capsys, built_levels):
+    code, _, _ = run_cli(capsys, "laplacian-check", "--level", "2", "--depth", "2")
+    assert code == 0
+    assert built_levels == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("counting --level 5 --births 8", "--births"),
+    ("counting --count 8", "--count"),
+    ("counting --limit --level 9", "--level"),
+])
+def test_counting_refuses_other_mode_flags(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 3
+    assert out == ""
+    assert flag in json.loads(err)["error"]["message"]
+
+
+def test_counting_defaults(capsys):
+    assert run_cli(capsys, "counting")[1] == run_cli(capsys, "counting", "--level", "3")[1]
+    limit = run_cli(capsys, "counting", "--limit")[1]
+    assert limit == run_cli(capsys, "counting", "--limit", "--births", "6", "--count", "100")[1]
+
+
 def test_bad_flags_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["harmonic", "--boundary", "1,2,3", "--level", "1"])
@@ -360,3 +402,10 @@ def test_readme_examples_run(tmp_path, capsys, monkeypatch):
     for argv in commands:
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+def test_readme_library_sketch_runs():
+    block = README.read_text().split("## Library sketch", 1)[1].split("```python", 1)[1]
+    namespace = {}
+    exec(block.split("```", 1)[0], namespace)
+    assert namespace["table"].total_multiplicity == 126

@@ -567,6 +567,13 @@ def _with_record0(doc, record):
     return {**doc, "records": [record] + doc["records"][1:]}
 
 
+def _born8_as_ints(doc):
+    """The born-8 record written with int value and birth value (8, not 8.0)."""
+    return {**doc, "records": [
+        {**r, "value": 8, "birth_value": 8} if r["value"] == 8.0 else r for r in doc["records"]
+    ]}
+
+
 @pytest.mark.parametrize("malform", [
     pytest.param(lambda d: {**d, "note": "extra key"}, id="extra-key"),
     pytest.param(lambda d: _without(d, "level"), id="no-level"),
@@ -581,6 +588,9 @@ def _with_record0(doc, record):
                  id="record-without-birth-level"),
     pytest.param(lambda d: _with_record0(d, {**d["records"][0], "birth_level": "1"}),
                  id="birth-level-string"),
+    pytest.param(lambda d: _with_record0(d, {**d["records"][0], "birth_level": True}),
+                 id="birth-level-true"),
+    pytest.param(_born8_as_ints, id="born-8-ints"),
     pytest.param(lambda d: _with_record0(d, list(d["records"][0].values())), id="record-list"),
     pytest.param(lambda d: list(d.items()), id="document-list"),
 ])

@@ -23,8 +23,10 @@ from tetralap import (
     energy_bilinear,
     harmonic_extend,
     harmonic_extension_cell,
+    harmonic_family,
     harmonize,
 )
+from tetralap import fractal_graph
 
 # critical-point system of the one-cell minimization, used as the
 # independent oracle for the closed form
@@ -231,3 +233,17 @@ def test_vertex_function_validation(graphs):
         VertexFunction(graphs(1), np.zeros(9))
     with pytest.raises(ValueError):
         VertexFunction(graphs(0), np.array([1.0, np.nan, 0.0, 0.0]))
+
+
+def test_harmonic_family_builds_each_level_once(monkeypatch):
+    built = []
+    real = fractal_graph.build_level
+    monkeypatch.setattr(fractal_graph, "build_level", lambda m: built.append(m) or real(m))
+    fam = harmonic_family((1, 0, 0, 0))
+    assert fam(3) is fam(3)
+    fam(2)
+    fam(4)
+    assert built == [0, 1, 2, 3, 4]
+    assert fam(4).values.tobytes() == harmonize((1, 0, 0, 0), 4).values.tobytes()
+    with pytest.raises(ValueError, match="nonnegative"):
+        fam(-1)

@@ -12,11 +12,16 @@ import pytest
 from tetralap import (
     CELL_MIDPOINT_PAIRS,
     Address,
+    Lineage,
     VertexFunction,
+    assemble,
+    born_eigenbasis,
     cell_restriction,
     eigenfunction_extend,
+    eigenfunction_family,
     harmonic_extend,
     harmonic_extension_cell,
+    harmonize,
 )
 
 LEVELS = range(0, 5)
@@ -90,3 +95,34 @@ def test_refinement_rejects_wrong_target(graphs):
         cell_restriction(_random_function(graphs(2), 0), 0, target=graphs(0))
     with pytest.raises(ValueError):
         cell_restriction(u, 4)
+
+
+# every way a caller can hand in a prebuilt level graph or decomposition,
+# each given one of the wrong level, and the words that name the level wanted
+@pytest.mark.parametrize("call, names", [
+    pytest.param(lambda g, d: harmonize((1, 0, 0, 0), 2, graphs={0: g(1)}), r"is not 0\b",
+                 id="harmonize-level0"),
+    pytest.param(lambda g, d: harmonize((1, 0, 0, 0), 2, graphs={2: g(3)}), r"is not 2\b",
+                 id="harmonize"),
+    pytest.param(lambda g, d: harmonic_extend(VertexFunction.zeros(g(1)), target=g(3)),
+                 r"is not 2\b", id="harmonic_extend"),
+    pytest.param(lambda g, d: cell_restriction(VertexFunction.zeros(g(2)), 0, target=g(2)),
+                 r"is not 1\b", id="cell_restriction"),
+    pytest.param(lambda g, d: eigenfunction_extend(VertexFunction.zeros(g(1)), 1.0, target=g(3)),
+                 r"is not 2\b", id="eigenfunction_extend"),
+    pytest.param(lambda g, d: assemble(2, graph=g(3)), r"is not 2\b", id="assemble"),
+    pytest.param(lambda g, d: born_eigenbasis(2, 6.0, graph=g(3)), r"is not 2\b",
+                 id="born_eigenbasis-graph"),
+    pytest.param(lambda g, d: born_eigenbasis(2, 6.0, graph=g(2), decomposition=d(1)),
+                 r"level 2\b", id="born_eigenbasis-decomposition"),
+    pytest.param(lambda g, d: eigenfunction_family(Lineage(2, 6.0), graphs={2: g(3)}),
+                 r"is not 2\b", id="eigenfunction_family-graphs"),
+    pytest.param(lambda g, d: eigenfunction_family(Lineage(2, 6.0), decompositions={2: d(1)}),
+                 r"level 2\b", id="eigenfunction_family-decompositions"),
+    pytest.param(lambda g, d: eigenfunction_family(Lineage(2, 6.0), graphs={3: g(2)},
+                                                   decompositions={2: d(2)})(3),
+                 r"is not 3\b", id="eigenfunction_family-extension"),
+])
+def test_prebuilt_input_of_wrong_level_rejected(graphs, oracle_decomps, call, names):
+    with pytest.raises(ValueError, match=names):
+        call(graphs, oracle_decomps)
