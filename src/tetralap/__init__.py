@@ -28,8 +28,7 @@ from .energy import (
     harmonize,
 )
 from .laplacian import (
-    LaplacianEstimate,
-    NormalDerivativeEstimate,
+    VertexEstimate,
     gauss_green_residual,
     graph_laplacian,
     interior_laplacian,

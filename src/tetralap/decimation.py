@@ -283,22 +283,22 @@ def enumerate_spectrum(m: int) -> SpectrumTable:
     return SpectrumTable(m, values[order], mults[order], levels, born_at[order], branches)
 
 
-def _limit_loop(values: np.ndarray, level: int, lineage_of):
-    """Continue each level-``level`` value on the first branch _branches_after
-    allows and renormalize, 2 * 6^k lam_k, until one more generation moves it
-    by at most LIMIT_REL_TOL relatively; each row stops at its own generation.
+def _limits(table: SpectrumTable, count: int) -> list[LimitEigenvalue]:
+    """The ``count`` smallest limits of the table's rows, ascending.
 
-    Returns (limits, generations used, PLUS steps taken) per row.  Raises
-    ValueError naming lineage_of(row) for the first row still moving after
+    Each row continues on the first branch _branches_after allows (one plus
+    from a value 8, which its lineage carries, then minus) and renormalizes,
+    2 * 6^k lam_k, until one more generation moves it by at most
+    LIMIT_REL_TOL relatively; each row stops at its own generation.  Raises
+    ValueError naming the lineage of the first row still moving after
     LIMIT_GENERATION_CAP generations.
     """
-    limits = np.empty(len(values))
-    generations = np.empty(len(values), np.int64)
-    pluses = np.empty(len(values), np.int64)
-    rows, lam, taken = np.arange(len(values)), values, np.zeros(len(values), np.int64)
-    power = 6.0 ** level
+    size = len(table.values)
+    limits, generations, pluses = np.empty(size), np.empty(size, np.int64), np.empty(size, np.int64)
+    rows, lam, taken = np.arange(size), table.values, np.zeros(size, np.int64)
+    power = 6.0 ** table.level
     prev = 2.0 * power * lam
-    for gen in range(level + 1, level + LIMIT_GENERATION_CAP + 1):
+    for gen in range(table.level + 1, table.level + LIMIT_GENERATION_CAP + 1):
         plus = np.isin(lam, _PLUS_ONLY)
         minus_child, plus_child = _children(lam, np.sqrt)
         lam = np.where(plus, plus_child, minus_child)
@@ -311,27 +311,33 @@ def _limit_loop(values: np.ndarray, level: int, lineage_of):
         moving = ~done
         rows, lam, prev, taken = rows[moving], lam[moving], cur[moving], taken[moving]
         if not len(rows):
-            return limits, generations, pluses
-    raise ValueError(
-        f"the limit of {lineage_of(rows[0])} did not converge within "
-        f"LIMIT_GENERATION_CAP = {LIMIT_GENERATION_CAP} generations"
-    )
+            break
+    else:
+        (_, _, level, born, branches), = table._rows(rows[:1])
+        raise ValueError(
+            f"the limit of {Lineage(level, born, branches)} did not converge within "
+            f"LIMIT_GENERATION_CAP = {LIMIT_GENERATION_CAP} generations"
+        )
+    rows = np.argsort(limits, kind="stable")[:count]
+    return [
+        LimitEigenvalue(Lineage(level, born, branches + PLUS * p), value, n, gen)
+        for (_, n, level, born, branches), value, p, gen in zip(
+            table._rows(rows), limits[rows].tolist(), pluses[rows].tolist(),
+            generations[rows].tolist(),
+        )
+    ]
 
 
 def limit_eigenvalue(record: EigenvalueRecord) -> LimitEigenvalue:
-    """Continue a graph record on the first branch _branches_after allows (one
-    plus from a value 8, which the returned lineage carries, then minus) and
-    renormalize to the limit operator; ValueError if LIMIT_GENERATION_CAP
-    generations do not reach LIMIT_REL_TOL."""
-    limits, generations, pluses = _limit_loop(
-        np.array([record.value]), record.level, lambda row: record.lineage
+    """The limit of one graph record: limit_spectrum's continuation of a
+    one-row table; ValueError if LIMIT_GENERATION_CAP generations do not
+    reach LIMIT_REL_TOL."""
+    lineage = record.lineage
+    row = SpectrumTable(
+        record.level, [record.value], [record.multiplicity],
+        [lineage.birth_level], [lineage.birth_value], [lineage.branches],
     )
-    return LimitEigenvalue(
-        record.lineage.extended(PLUS * int(pluses[0])),
-        float(limits[0]),
-        record.multiplicity,
-        int(generations[0]),
-    )
+    return _limits(row, 1)[0]
 
 
 def limit_spectrum(m_birth_max: int, count: int) -> list[LimitEigenvalue]:
@@ -351,17 +357,7 @@ def limit_spectrum(m_birth_max: int, count: int) -> list[LimitEigenvalue]:
             f"only {len(table.values)} lineages have births up to level "
             f"{m_birth_max}; raise m_birth_max for more"
         )
-    limits, generations, pluses = _limit_loop(
-        table.values, table.level, lambda row: table.records[row].lineage
-    )
-    rows = np.argsort(limits, kind="stable")[:count]
-    return [
-        LimitEigenvalue(Lineage(level, born, branches + PLUS * p), value, n, gen)
-        for (_, n, level, born, branches), value, p, gen in zip(
-            table._rows(rows), limits[rows].tolist(), pluses[rows].tolist(),
-            generations[rows].tolist(),
-        )
-    ]
+    return _limits(table, count)
 
 
 def _columns(spectrum) -> tuple[np.ndarray, np.ndarray]:
@@ -374,10 +370,17 @@ def _columns(spectrum) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def counting_function(spectrum, x: float) -> int:
-    """N(x): total multiplicity of eigenvalues <= x."""
+def counting_function(spectrum, x):
+    """N(x): total multiplicity of eigenvalues <= x, an int at a scalar x and
+    one count per element at an array x; ValueError at NaN."""
+    x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        raise ValueError("N(x) is not defined at NaN")
     values, mults = _columns(spectrum)
-    return int(mults[values <= x].sum())
+    order = np.argsort(values, kind="stable")
+    totals = np.concatenate([[0], np.cumsum(mults[order])])
+    counts = totals[np.searchsorted(values[order], x, side="right")]
+    return int(counts) if counts.ndim == 0 else counts
 
 
 @dataclass(frozen=True)
@@ -396,11 +399,10 @@ def weyl_fit(limit_values) -> tuple[float, WeylFitDiagnostics]:
     excluded: the additive O(1) term dominates the bottom and the
     enumeration truncates the top.
     """
-    records = sorted(limit_values, key=lambda r: r.value)
-    if len(records) < 100:
-        raise ValueError(f"weyl_fit needs at least 100 limit eigenvalues, got {len(records)}")
-    xs = np.array([r.value for r in records])
-    ns = np.cumsum([r.multiplicity for r in records])
+    xs = np.sort(_columns(limit_values)[0])
+    if len(xs) < 100:
+        raise ValueError(f"weyl_fit needs at least 100 limit eigenvalues, got {len(xs)}")
+    ns = counting_function(limit_values, xs)
     keep = xs >= 10.0 * xs[0]
     keep &= np.arange(len(xs)) < int(math.floor(0.9 * len(xs)))
     if np.sum(keep) < 2:
@@ -411,7 +413,7 @@ def weyl_fit(limit_values) -> tuple[float, WeylFitDiagnostics]:
     rms = float(np.sqrt(np.mean((ln - (slope * lx + intercept)) ** 2)))
     diag = WeylFitDiagnostics(
         n_used=int(np.sum(keep)),
-        n_total=len(records),
+        n_total=len(xs),
         window=(float(xs[keep][0]), float(xs[keep][-1])),
         intercept=float(intercept),
         rms_log_residual=rms,
@@ -566,11 +568,7 @@ def spectrum_from_json(data: dict) -> SpectrumTable:
     table = enumerate_spectrum(level)
     for i, (want, got) in enumerate(itertools.zip_longest(_table_json(table), records)):
         # dict == takes 1, 1.0 and true for one another, so each field's type is checked too
-        if want == got and (
-            type(got["value"]) is type(got["birth_value"]) is float
-            and type(got["multiplicity"]) is type(got["birth_level"]) is int
-            and type(got["branches"]) is str
-        ):
+        if want == got and all(type(got[k]) is type(v) for k, v in want.items()):
             continue
         differs = ValueError(f"record {i} differs from the level-{table.level} spectrum")
         try:
@@ -600,8 +598,6 @@ def limit_spectrum_json(limits) -> dict:
 
 def counting_json(spectrum) -> dict:
     """The counting function at each eigenvalue, in record order: {points: [[x, N(x)]]}."""
-    values, mults = _columns(spectrum)
-    order = np.argsort(values, kind="stable")
-    xs, ns = values[order], np.cumsum(mults[order])
-    counts = ns[np.searchsorted(xs, values, side="right") - 1]  # the last of a tie counts all of x
+    values, _ = _columns(spectrum)
+    counts = counting_function(spectrum, values)
     return {"points": [[x, n] for x, n in zip(values.tolist(), counts.tolist())]}

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,10 +72,9 @@ class Address:
 
     @classmethod
     def from_string(cls, text: str) -> "Address":
-        word_part, _, base_part = text.partition(":")
-        if not base_part:
+        if not re.fullmatch(r"[0-3]*:[0-3]", text):
             raise ValueError(f"malformed address {text!r}; expected 'word:base'")
-        return cls(tuple(int(c) for c in word_part), int(base_part))
+        return cls(tuple(int(c) for c in text[:-2]), int(text[-1]))
 
     @property
     def is_boundary(self) -> bool:

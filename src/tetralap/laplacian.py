@@ -23,16 +23,12 @@ from .energy import VertexFunction, energy_bilinear
 
 
 @dataclass(frozen=True)
-class LaplacianEstimate:
+class VertexEstimate:
+    """A level-``level`` estimate at a vertex: a pointwise Laplacian or a
+    normal derivative."""
+
     level: int
     vertex: Address
-    value: float
-
-
-@dataclass(frozen=True)
-class NormalDerivativeEstimate:
-    vertex: Address
-    level: int
     value: float
 
 
@@ -68,7 +64,15 @@ def interior_laplacian(u: VertexFunction) -> np.ndarray:
     return _neighbor_sums(u, 4, u.graph.n_vertices)
 
 
-def pointwise_laplacian(u_source, x: Address, m: int) -> LaplacianEstimate:
+def _at_level(u_source, m: int) -> VertexFunction:
+    """u_source(m), checked to be a level-m function."""
+    u = u_source(m)
+    if u.graph.level != m:
+        raise ValueError(f"u_source({m}) returned a level-{u.graph.level} function")
+    return u
+
+
+def pointwise_laplacian(u_source, x: Address, m: int) -> VertexEstimate:
     """Renormalized estimate 2 * 6^m * Delta_m u(x).
 
     ``u_source`` maps a level to the VertexFunction of one function
@@ -77,21 +81,17 @@ def pointwise_laplacian(u_source, x: Address, m: int) -> LaplacianEstimate:
     Laplacian; callers should inspect a profile across levels rather
     than trust a single m.
     """
-    u = u_source(m)
-    if u.graph.level != m:
-        raise ValueError(f"u_source({m}) returned a level-{u.graph.level} function")
+    u = _at_level(u_source, m)
     value = 2.0 * 6.0 ** m * graph_laplacian(u, x)
-    return LaplacianEstimate(level=m, vertex=canonicalize(x), value=value)
+    return VertexEstimate(level=m, vertex=canonicalize(x), value=value)
 
 
-def normal_derivative(u_source, x: Address, k: int) -> NormalDerivativeEstimate:
+def normal_derivative(u_source, x: Address, k: int) -> VertexEstimate:
     """Boundary-flux estimate (3/2)^k * sum over level-k neighbors of u(x) - u(y)."""
-    u = u_source(k)
-    if u.graph.level != k:
-        raise ValueError(f"u_source({k}) returned a level-{u.graph.level} function")
+    u = _at_level(u_source, k)
     idx = u.graph.index_of(x)
     flux = -float(_neighbor_sums(u, idx, idx + 1)[0])
-    return NormalDerivativeEstimate(vertex=canonicalize(x), level=k, value=1.5 ** k * flux)
+    return VertexEstimate(level=k, vertex=canonicalize(x), value=1.5 ** k * flux)
 
 
 def gauss_green_residual(u: VertexFunction, v: VertexFunction) -> float:

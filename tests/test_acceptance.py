@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from tetralap import (
     Address,
@@ -179,6 +180,7 @@ def test_criterion_08_normal_derivatives():
     _report(8, ok, f"P0 estimates dev={dev_const:.2e}, flux-sum dev={dev_sum:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_09_eigenfunction_residuals(graphs, oracle_decomps):
     lookup = {m: graphs(m) for m in range(5)}
     decomps = {m: oracle_decomps(m) for m in range(1, 5)}

@@ -28,6 +28,7 @@ from tetralap import (
     born_eigenbasis,
     born_multiplicities,
     counting_function,
+    counting_json,
     decimate_down,
     decimate_up,
     eigenfunction_extend,
@@ -292,8 +293,9 @@ def test_scaled_graph_values_approach_limit():
 def test_limit_eigenvalue_raises_at_generation_cap(monkeypatch):
     assert limit_eigenvalue(_record(2.0, 1)).generations_used > 3
     monkeypatch.setattr(decimation, "LIMIT_GENERATION_CAP", 2)
-    with pytest.raises(ValueError, match="LIMIT_GENERATION_CAP = 2"):
-        limit_eigenvalue(_record(2.0, 1))
+    for run in (lambda: limit_eigenvalue(_record(2.0, 1)), lambda: limit_spectrum(3, 5)):
+        with pytest.raises(ValueError, match=r"the limit of Lineage\(.*LIMIT_GENERATION_CAP = 2"):
+            run()
 
 
 def test_dimension_constants_identity():
@@ -341,16 +343,21 @@ def _limit_walk(value, level):
         iters += 1
 
 
+def _limit_row(limit):
+    return (limit.value, limit.multiplicity, limit.lineage.branches, limit.generations_used)
+
+
 @pytest.mark.parametrize("births", [3, 8, 10])
 def test_limit_spectrum_matches_scalar_walk(births):
+    # both entry points, the whole table and one record at a time
     expected = []
     for rec in enumerate_spectrum(births).records:
         value, generations, added = _limit_walk(rec.value, rec.level)
         expected.append((value, rec.multiplicity, rec.lineage.branches + added, generations))
+        assert _limit_row(limit_eigenvalue(rec)) == expected[-1]
     expected.sort(key=lambda row: row[0])
     limits = limit_spectrum(births, 2 ** (births + 1) - 1)
-    got = [(l.value, l.multiplicity, l.lineage.branches, l.generations_used) for l in limits]
-    assert got == expected
+    assert [_limit_row(l) for l in limits] == expected
 
 
 def test_limit_spectrum_count_guard():
@@ -477,8 +484,14 @@ def test_born_eigenbasis_dimensions(graphs, oracle_decomps):
 def test_counting_function_level1():
     table = enumerate_spectrum(1)
     assert counting_function(table, 6.0) == 4
+    assert type(counting_function(table, 6.0)) is int
     assert counting_function(table, 1.9) == 0
     assert counting_function(table, 100.0) == 6
+    assert counting_function(table, -math.inf) == 0
+    assert counting_function(table, math.inf) == 6
+    for nan in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            counting_function(table, nan)
 
 
 def test_counting_function_level2():
@@ -488,12 +501,21 @@ def test_counting_function_level2():
 
 
 def test_counting_function_step_behaviour():
-    table = enumerate_spectrum(2)
-    for r in table.records:
-        below = counting_function(table, r.value - 1e-12)
-        at = counting_function(table, r.value)
-        above = counting_function(table, r.value + 1e-12)
-        assert below < at == above
+    # the array form counts each x as the scalar form does
+    for level in (2, 6):
+        table = enumerate_spectrum(level)
+        xs = np.stack([table.values - 1e-12, table.values, table.values + 1e-12])
+        counts = counting_function(table, xs)
+        assert counts.tolist() == [[counting_function(table, x) for x in row] for row in xs.tolist()]
+        below, at, above = counts
+        assert np.all(below < at) and np.array_equal(at, above)
+
+
+def test_counting_json_reads_counting_function():
+    table, limits = enumerate_spectrum(6), limit_spectrum(6, 127)
+    for spectrum, values in ((table, table.values), (limits, np.array([l.value for l in limits]))):
+        counts = counting_function(spectrum, values).tolist()
+        assert counting_json(spectrum)["points"] == [[x, n] for x, n in zip(values.tolist(), counts)]
 
 
 def test_weyl_fit_recovers_pure_power_law():

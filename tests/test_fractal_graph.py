@@ -237,8 +237,11 @@ def test_array_tables_match_address_reference(graphs, m):
 def test_address_string_round_trip():
     for a in (Address((), 2), Address((0, 1), 3), Address((2, 1), 3)):
         assert Address.from_string(str(a)) == a
-    with pytest.raises(ValueError):
-        Address.from_string("012")
+    # only [0-3]*:[0-3] parses: int() would take the spaces, signs,
+    # newlines and non-ASCII digits in the last five
+    for text in ("012", "0:", "0:4", "0: 1", "0:+1", "0:-0", "00:1\n", "\u0660:\u0661"):
+        with pytest.raises(ValueError, match="malformed address"):
+            Address.from_string(text)
     with pytest.raises(ValueError):
         Address((5,), 0)
 
