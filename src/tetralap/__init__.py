@@ -42,6 +42,7 @@ from .decimation import (
     EigenvalueRecord,
     ForbiddenEigenvalueError,
     LimitEigenvalue,
+    LimitTable,
     Lineage,
     SpectrumTable,
     WeylFitDiagnostics,

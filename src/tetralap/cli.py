@@ -136,9 +136,9 @@ def _cmd_counting(args: argparse.Namespace) -> str:
     for flag in ("level",) if args.use_limit else ("births", "count"):
         if flag in args:  # the parser sets only the flags given
             raise ValueError(f"--{flag} does not apply {mode} --limit")
-    records = (limit_spectrum(getattr(args, "births", 6), getattr(args, "count", 100))
-               if args.use_limit else enumerate_spectrum(getattr(args, "level", 3)))
-    doc = counting_json(records)
+    spectrum = (limit_spectrum(getattr(args, "births", 6), getattr(args, "count", 100))
+                if args.use_limit else enumerate_spectrum(getattr(args, "level", 3)))
+    doc = counting_json(spectrum)
     if args.format == "json":
         return _json_text(doc)
     return _csv("x,N", doc["points"])

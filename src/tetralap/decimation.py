@@ -32,6 +32,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -99,20 +100,19 @@ class EigenvalueRecord:
         return self.lineage.level
 
 
-#: Column name -> dtype of a SpectrumTable; a row is one EigenvalueRecord.
-_COLUMNS = {
-    "values": np.float64,
-    "multiplicities": np.int64,
-    "birth_levels": np.int64,
-    "birth_values": np.float64,
-    "branches": np.str_,
-}
-
-
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
     """The level-m spectrum as read-only columns, one row per record, in
     ascending value order; ``branches`` holds each row's Lineage.branches."""
+
+    #: Column name -> (JSON field, dtype); a row is one record.
+    COLUMNS: ClassVar[dict[str, tuple[str, type]]] = {
+        "values": ("value", np.float64),
+        "multiplicities": ("multiplicity", np.int64),
+        "birth_levels": ("birth_level", np.int64),
+        "birth_values": ("birth_value", np.float64),
+        "branches": ("branches", np.str_),
+    }
 
     level: int
     values: np.ndarray
@@ -122,30 +122,33 @@ class SpectrumTable:
     branches: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in _COLUMNS.items():
+        for name, (_, dtype) in self.COLUMNS.items():
             column = np.asarray(getattr(self, name), dtype=dtype).view()
+            if column.ndim != 1 or len(column) != len(self.values):
+                raise ValueError(f"{name} must be one-dimensional and as long as values, "
+                                 f"got shape {column.shape}")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
     def __eq__(self, other):
-        if not isinstance(other, SpectrumTable):
+        if type(other) is not type(self):
             return NotImplemented
         return self.level == other.level and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in self.COLUMNS
         )
 
     def _rows(self, rows=slice(None)):
-        """(value, multiplicity, birth level, birth value, branches) of the
-        selected rows, as Python scalars."""
-        return zip(*(getattr(self, name)[rows].tolist() for name in _COLUMNS))
+        """The selected rows as tuples of Python scalars, in COLUMNS order."""
+        return zip(*(getattr(self, name)[rows].tolist() for name in self.COLUMNS))
+
+    @staticmethod
+    def _record(value, multiplicity, birth_level, birth_value, branches):
+        return EigenvalueRecord(value, multiplicity, Lineage(birth_level, birth_value, branches))
 
     @functools.cached_property
-    def records(self) -> tuple[EigenvalueRecord, ...]:
-        """The rows as EigenvalueRecord objects, built on first access."""
-        return tuple(
-            EigenvalueRecord(value, n, Lineage(level, born, branches))
-            for value, n, level, born, branches in self._rows()
-        )
+    def records(self) -> tuple:
+        """The rows as record objects, built on first access."""
+        return tuple(self._record(*row) for row in self._rows())
 
     @property
     def total_multiplicity(self) -> int:
@@ -160,6 +163,35 @@ class LimitEigenvalue:
     value: float
     multiplicity: int
     generations_used: int
+
+
+@dataclass(frozen=True, eq=False)
+class LimitTable(SpectrumTable):
+    """Limit eigenvalues as columns, read as a sequence of LimitEigenvalue;
+    ``branches`` holds the branches continued to the limit and ``level`` is
+    the graph level the limits were taken from."""
+
+    COLUMNS: ClassVar[dict[str, tuple[str, type]]] = {
+        **SpectrumTable.COLUMNS,
+        "generations_used": ("generations_used", np.int64),
+    }
+
+    generations_used: np.ndarray
+
+    @staticmethod
+    def _record(value, multiplicity, birth_level, birth_value, branches, generations_used):
+        return LimitEigenvalue(
+            Lineage(birth_level, birth_value, branches), value, multiplicity, generations_used
+        )
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i):
+        return self.records[i]
+
+    def __iter__(self):
+        return iter(self.records)
 
 
 @dataclass(frozen=True)
@@ -283,7 +315,7 @@ def enumerate_spectrum(m: int) -> SpectrumTable:
     return SpectrumTable(m, values[order], mults[order], levels, born_at[order], branches)
 
 
-def _limits(table: SpectrumTable, count: int) -> list[LimitEigenvalue]:
+def _limits(table: SpectrumTable, count: int) -> LimitTable:
     """The ``count`` smallest limits of the table's rows, ascending.
 
     Each row continues on the first branch _branches_after allows (one plus
@@ -319,13 +351,11 @@ def _limits(table: SpectrumTable, count: int) -> list[LimitEigenvalue]:
             f"LIMIT_GENERATION_CAP = {LIMIT_GENERATION_CAP} generations"
         )
     rows = np.argsort(limits, kind="stable")[:count]
-    return [
-        LimitEigenvalue(Lineage(level, born, branches + PLUS * p), value, n, gen)
-        for (_, n, level, born, branches), value, p, gen in zip(
-            table._rows(rows), limits[rows].tolist(), pluses[rows].tolist(),
-            generations[rows].tolist(),
-        )
-    ]
+    continued = np.char.add(table.branches[rows], np.char.multiply(PLUS, pluses[rows]))
+    return LimitTable(
+        table.level, limits[rows], table.multiplicities[rows], table.birth_levels[rows],
+        table.birth_values[rows], continued, generations[rows],
+    )
 
 
 def limit_eigenvalue(record: EigenvalueRecord) -> LimitEigenvalue:
@@ -340,7 +370,7 @@ def limit_eigenvalue(record: EigenvalueRecord) -> LimitEigenvalue:
     return _limits(row, 1)[0]
 
 
-def limit_spectrum(m_birth_max: int, count: int) -> list[LimitEigenvalue]:
+def limit_spectrum(m_birth_max: int, count: int) -> LimitTable:
     """The ``count`` smallest limit eigenvalues over lineages with
     birth level <= m_birth_max, ascending.
 
@@ -360,26 +390,15 @@ def limit_spectrum(m_birth_max: int, count: int) -> list[LimitEigenvalue]:
     return _limits(table, count)
 
 
-def _columns(spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """(values, multiplicities) of a SpectrumTable or a list of records, in record order."""
-    if isinstance(spectrum, SpectrumTable):
-        return spectrum.values, spectrum.multiplicities
-    return (
-        np.array([r.value for r in spectrum], dtype=np.float64),
-        np.array([r.multiplicity for r in spectrum], dtype=np.int64),
-    )
-
-
-def counting_function(spectrum, x):
+def counting_function(spectrum: SpectrumTable, x):
     """N(x): total multiplicity of eigenvalues <= x, an int at a scalar x and
     one count per element at an array x; ValueError at NaN."""
     x = np.asarray(x, dtype=np.float64)
     if np.isnan(x).any():
         raise ValueError("N(x) is not defined at NaN")
-    values, mults = _columns(spectrum)
-    order = np.argsort(values, kind="stable")
-    totals = np.concatenate([[0], np.cumsum(mults[order])])
-    counts = totals[np.searchsorted(values[order], x, side="right")]
+    order = np.argsort(spectrum.values, kind="stable")
+    totals = np.concatenate([[0], np.cumsum(spectrum.multiplicities[order])])
+    counts = totals[np.searchsorted(spectrum.values[order], x, side="right")]
     return int(counts) if counts.ndim == 0 else counts
 
 
@@ -392,17 +411,18 @@ class WeylFitDiagnostics:
     rms_log_residual: float
 
 
-def weyl_fit(limit_values) -> tuple[float, WeylFitDiagnostics]:
-    """Least-squares slope of log N(x) against log x.
+def weyl_fit(limits: SpectrumTable) -> tuple[float, WeylFitDiagnostics]:
+    """Least-squares slope of log N(x) against log x over a table of
+    eigenvalues, usually limit_spectrum's.
 
     The lowest decade of eigenvalues and the top 10% of records are
     excluded: the additive O(1) term dominates the bottom and the
     enumeration truncates the top.
     """
-    xs = np.sort(_columns(limit_values)[0])
+    xs = np.sort(limits.values)
     if len(xs) < 100:
         raise ValueError(f"weyl_fit needs at least 100 limit eigenvalues, got {len(xs)}")
-    ns = counting_function(limit_values, xs)
+    ns = counting_function(limits, xs)
     keep = xs >= 10.0 * xs[0]
     keep &= np.arange(len(xs)) < int(math.floor(0.9 * len(xs)))
     if np.sum(keep) < 2:
@@ -523,21 +543,10 @@ def eigenfunction_family(
 # --- serialization ------------------------------------------------------
 
 
-def _record_json(value, multiplicity, birth_level, birth_value, branches) -> dict:
-    """The fields an EigenvalueRecord and a LimitEigenvalue share, from a
-    SpectrumTable row."""
-    return {
-        "value": value,
-        "multiplicity": multiplicity,
-        "birth_level": birth_level,
-        "birth_value": birth_value,
-        "branches": branches,
-    }
-
-
 def _table_json(table: SpectrumTable):
-    """The table's records as JSON dicts, read from the columns."""
-    return (_record_json(*row) for row in table._rows())
+    """The table's rows as JSON dicts, one field per column, read from the columns."""
+    fields = [field for field, _ in table.COLUMNS.values()]
+    return (dict(zip(fields, row)) for row in table._rows())
 
 
 def spectrum_json(table: SpectrumTable) -> dict:
@@ -581,23 +590,11 @@ def spectrum_from_json(data: dict) -> SpectrumTable:
     return table
 
 
-def limit_spectrum_json(limits) -> dict:
-    return {
-        "limit_eigenvalues": [
-            {
-                **_record_json(
-                    l.value, l.multiplicity,
-                    l.lineage.birth_level, l.lineage.birth_value, l.lineage.branches,
-                ),
-                "generations_used": l.generations_used,
-            }
-            for l in limits
-        ]
-    }
+def limit_spectrum_json(limits: LimitTable) -> dict:
+    return {"limit_eigenvalues": list(_table_json(limits))}
 
 
-def counting_json(spectrum) -> dict:
-    """The counting function at each eigenvalue, in record order: {points: [[x, N(x)]]}."""
-    values, _ = _columns(spectrum)
-    counts = counting_function(spectrum, values)
-    return {"points": [[x, n] for x, n in zip(values.tolist(), counts.tolist())]}
+def counting_json(spectrum: SpectrumTable) -> dict:
+    """The counting function at each eigenvalue, in row order: {points: [[x, N(x)]]}."""
+    counts = counting_function(spectrum, spectrum.values)
+    return {"points": [[x, n] for x, n in zip(spectrum.values.tolist(), counts.tolist())]}

@@ -43,7 +43,7 @@ from tetralap import (
     weyl_fit,
 )
 from tetralap import decimation
-from tetralap.decimation import LimitEigenvalue, EigenvalueRecord
+from tetralap.decimation import EigenvalueRecord, LimitTable, SpectrumTable
 
 SQRT3 = math.sqrt(3.0)
 SQRT7 = math.sqrt(7.0)
@@ -158,23 +158,46 @@ def test_record_values_replay_their_lineages_exactly():
 
 
 def test_spectrum_table_columns():
-    table = enumerate_spectrum(6)
-    columns = {
-        "values": np.float64, "multiplicities": np.int64, "birth_levels": np.int64,
-        "birth_values": np.float64,
-    }
-    for name, dtype in columns.items():
-        assert getattr(table, name).dtype == dtype
-    for name in [*columns, "branches"]:
-        column = getattr(table, name)
-        with pytest.raises(ValueError):
-            column[0] = column[1]
-    assert table == enumerate_spectrum(6)
-    mults = table.multiplicities.copy()
-    mults[3] += 1
-    assert table != dataclasses.replace(table, multiplicities=mults)
-    assert table.records is table.records
-    assert [r.lineage.branches for r in table.records] == table.branches.tolist()
+    for build in (lambda: enumerate_spectrum(6), lambda: limit_spectrum(6, 127)):
+        table = build()
+        columns = {
+            "values": np.float64, "multiplicities": np.int64, "birth_levels": np.int64,
+            "birth_values": np.float64,
+        }
+        if isinstance(table, LimitTable):
+            columns["generations_used"] = np.int64
+        for name, dtype in columns.items():
+            assert getattr(table, name).dtype == dtype
+        for name in [*columns, "branches"]:
+            column = getattr(table, name)
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+        assert table == build()
+        mults = table.multiplicities.copy()
+        mults[3] += 1
+        assert table != dataclasses.replace(table, multiplicities=mults)
+        assert table.records is table.records
+        assert [r.lineage.branches for r in table.records] == table.branches.tolist()
+    limits = limit_spectrum(6, 127)
+    assert list(limits) == list(limits.records) and len(limits) == 127
+    # the same five columns as a graph table are not that graph table
+    graph = SpectrumTable(
+        limits.level, limits.values, limits.multiplicities, limits.birth_levels,
+        limits.birth_values, limits.branches,
+    )
+    assert limits != graph and graph != limits
+
+
+def test_spectrum_table_refuses_ragged_columns():
+    # a second value without a second row would drop out of records and
+    # JSON, and counting_function would fail on it with an IndexError
+    with pytest.raises(ValueError, match="as long as values"):
+        SpectrumTable(1, [1.0, 2.0], [1], [1], [2.0], [""])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        SpectrumTable(1, [[2.0]], [[1]], [[1]], [[2.0]], [[""]])
+    limits = limit_spectrum(3, 5)
+    with pytest.raises(ValueError, match="generations_used"):
+        dataclasses.replace(limits, generations_used=limits.generations_used[:4])
 
 
 def test_multiplicity_constant_along_lineage():
@@ -360,6 +383,24 @@ def test_limit_spectrum_matches_scalar_walk(births):
     assert [_limit_row(l) for l in limits] == expected
 
 
+def test_limit_spectrum_matches_extended_precision_replay():
+    # every row against its lineage replayed at 40 digits: the recorded
+    # branches, then 60 minus steps, then 2 * 6^k lam_k
+    errors = []
+    with mp.workdps(40):
+        for limit in limit_spectrum(10, 2047):
+            lineage = limit.lineage
+            lam = mp.mpf(lineage.birth_value)
+            for branch in lineage.branches:
+                root = mp.sqrt(9 - lam)
+                lam = lam / (3 + root) if branch == "-" else 3 + root
+            for _ in range(60):
+                lam = lam / (3 + mp.sqrt(9 - lam))
+            want = 2 * mp.mpf(6) ** (lineage.level + 60) * lam
+            errors.append(float(abs(limit.value - want) / want))
+    assert max(errors) <= 2e-13
+
+
 def test_limit_spectrum_count_guard():
     with pytest.raises(ValueError):
         limit_spectrum(2, 1000)
@@ -522,9 +563,8 @@ def test_weyl_fit_recovers_pure_power_law():
     # counts follow N(x) = x^alpha exactly when values are x = N^(1/alpha)
     alpha = 0.61
     ns = np.arange(1, 401, dtype=float)
-    fake = [
-        LimitEigenvalue(Lineage(1, 2.0), float(n ** (1.0 / alpha)), 1, 20) for n in ns
-    ]
+    n = len(ns)
+    fake = LimitTable(1, ns ** (1.0 / alpha), [1] * n, [1] * n, [2.0] * n, [""] * n, [20] * n)
     got, diag = weyl_fit(fake)
     assert got == pytest.approx(alpha, abs=1e-6)
     assert diag.n_used < diag.n_total
@@ -533,10 +573,7 @@ def test_weyl_fit_recovers_pure_power_law():
 def test_weyl_fit_scale_invariant():
     limits = limit_spectrum(6, 127)
     a1, _ = weyl_fit(limits)
-    doubled = [
-        LimitEigenvalue(l.lineage, 2.0 * l.value, l.multiplicity, l.generations_used)
-        for l in limits
-    ]
+    doubled = dataclasses.replace(limits, values=2.0 * limits.values)
     a2, _ = weyl_fit(doubled)
     assert a2 == pytest.approx(a1, abs=1e-12)
 
