@@ -18,12 +18,13 @@ from .fractal_graph import (
 )
 from .energy import (
     EnergyReport,
+    ForbiddenEigenvalueError,
     VertexFunction,
     cell_restriction,
+    eigenfunction_extend,
     energy,
     energy_bilinear,
-    harmonic_extend,
-    harmonic_extension_cell,
+    extension_cell,
     harmonic_family,
     harmonize,
 )
@@ -40,7 +41,6 @@ from .decimation import (
     DIMENSION_CONSTANTS,
     DimensionConstants,
     EigenvalueRecord,
-    ForbiddenEigenvalueError,
     LimitEigenvalue,
     LimitTable,
     Lineage,
@@ -52,7 +52,6 @@ from .decimation import (
     counting_function,
     decimate_down,
     decimate_up,
-    eigenfunction_extend,
     eigenfunction_family,
     enumerate_spectrum,
     limit_eigenvalue,

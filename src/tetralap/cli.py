@@ -49,6 +49,9 @@ OUTDIR_ENV = "TETRALAP_OUTDIR"
 #: Largest |oracle - decimation| difference oracle-compare accepts.
 ORACLE_TOL = 1e-8
 
+#: Default largest birth level and count of limit-spectrum and counting --limit.
+LIMIT_BIRTHS, LIMIT_COUNT = 6, 100
+
 
 def _boundary(text: str):
     parts = text.split(",")
@@ -136,7 +139,8 @@ def _cmd_counting(args: argparse.Namespace) -> str:
     for flag in ("level",) if args.use_limit else ("births", "count"):
         if flag in args:  # the parser sets only the flags given
             raise ValueError(f"--{flag} does not apply {mode} --limit")
-    spectrum = (limit_spectrum(getattr(args, "births", 6), getattr(args, "count", 100))
+    spectrum = (limit_spectrum(getattr(args, "births", LIMIT_BIRTHS),
+                               getattr(args, "count", LIMIT_COUNT))
                 if args.use_limit else enumerate_spectrum(getattr(args, "level", 3)))
     doc = counting_json(spectrum)
     if args.format == "json":
@@ -242,8 +246,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p = add("limit-spectrum", _cmd_limit_spectrum,
             help="smallest eigenvalues of the limit operator")
-    p.add_argument("--births", type=int, default=6, help="largest birth level enumerated")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--births", type=int, default=LIMIT_BIRTHS,
+                   help="largest birth level enumerated")
+    p.add_argument("--count", type=int, default=LIMIT_COUNT)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--fit", action="store_true", help="append the counting-exponent fit")
 
@@ -252,8 +257,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, help="graph level counted (default 3)")
     p.add_argument("--limit", action="store_true", dest="use_limit", default=False,
                    help="count limit eigenvalues instead of one graph level")
-    p.add_argument("--births", type=int, help="largest birth level, with --limit (default 6)")
-    p.add_argument("--count", type=int, help="limit eigenvalues counted (default 100)")
+    p.add_argument("--births", type=int,
+                   help=f"largest birth level, with --limit (default {LIMIT_BIRTHS})")
+    p.add_argument("--count", type=int, help=f"limit eigenvalues counted (default {LIMIT_COUNT})")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = add("laplacian-check", _cmd_laplacian_check,

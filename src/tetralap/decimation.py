@@ -36,17 +36,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fractal_graph import (
-    CELL_MIDPOINT_PAIRS,
-    LevelCapError,
-    LevelGraph,
-    level_graph,
-    refine,
-)
-from .energy import VertexFunction
+from .fractal_graph import LevelCapError, LevelGraph, level_graph
+from .energy import FORBIDDEN_VALUES, ForbiddenEigenvalueError, VertexFunction, eigenfunction_extend
 from . import oracle as _oracle
 
-FORBIDDEN_VALUES = (2.0, 6.0, 8.0)
 MINUS, PLUS = "-", "+"
 
 SPECTRUM_LEVEL_CAP = 15
@@ -55,10 +48,6 @@ SPECTRUM_LEVEL_CAP = 15
 #: value by less than REL_TOL relatively, give up at GENERATION_CAP.
 LIMIT_REL_TOL = 1e-12
 LIMIT_GENERATION_CAP = 60
-
-
-class ForbiddenEigenvalueError(ValueError):
-    """Extension attempted at a degenerate eigenvalue (2, 6 or 8)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -442,39 +431,6 @@ def weyl_fit(limits: SpectrumTable) -> tuple[float, WeylFitDiagnostics]:
 
 
 # --- eigenfunctions -----------------------------------------------------
-
-
-def eigenfunction_extend(
-    u: VertexFunction,
-    lambda_m: float,
-    *,
-    target: LevelGraph | None = None,
-) -> VertexFunction:
-    """Extend a level-(m-1) Dirichlet eigenfunction to level m.
-
-    Requires lam_m outside {2,6,8} (the per-cell solve divides by
-    (2-lam)(6-lam)) and u satisfying -Delta u = lam_m(6-lam_m) u with
-    zero boundary values; the result then satisfies -Delta u = lam_m u
-    on all of V_m minus V_0.  For the forbidden values there is no
-    extension formula: take kernel vectors from the dense oracle
-    (born_eigenbasis) instead.
-    """
-    if min(abs(lambda_m - f) for f in FORBIDDEN_VALUES) < 1e-9:
-        raise ForbiddenEigenvalueError(
-            f"lam={lambda_m} is degenerate; born eigenfunctions come from the "
-            "dense-oracle kernel (born_eigenbasis), not from extension"
-        )
-    target = level_graph(u.graph.level + 1, target)
-    denom = (2.0 - lambda_m) * (6.0 - lambda_m)
-
-    def midpoints(*cv):
-        out = []
-        for i, j in CELL_MIDPOINT_PAIRS:
-            k, l = (x for x in range(4) if x != i and x != j)
-            out.append(((4.0 - lambda_m) * (cv[i] + cv[j]) + 2.0 * (cv[k] + cv[l])) / denom)
-        return out
-
-    return VertexFunction(target, refine(u.graph, target, u.values, midpoints))
 
 
 def born_eigenbasis(

@@ -1,4 +1,4 @@
-"""Dirichlet energies and harmonic extension on the level graphs.
+"""Dirichlet energies and the extension of functions to the next level.
 
 The level-m energy is E_m(u) = sum over edges of (u(X)-u(Y))^2; the
 renormalized energy (3/2)^m E_m(u) is what survives the m -> infinity
@@ -10,7 +10,9 @@ values (a,b,c,d) has the closed-form solution
 
 in the midpoint labeling of CELL_MIDPOINT_PAIRS, and the minimum energy
 is (2/3) times the corner energy.  The global minimization splits into
-one such problem per cell.
+one such problem per cell.  It is the lam = 0 case of the spectral
+decimation formula, so one extension_cell serves harmonic functions and
+eigenfunctions alike; cell_restriction inverts the extension.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractal_graph import LETTERS, Address, LevelGraph, level_graph, refine
+from .fractal_graph import Address, LevelGraph, is_letter, level_graph, refine
 
 
 @dataclass
@@ -47,9 +49,6 @@ class VertexFunction:
     def value_at(self, a: Address) -> float:
         return float(self.values[self.graph.index_of(a)])
 
-    def copy(self) -> "VertexFunction":
-        return VertexFunction(self.graph, self.values.copy())
-
 
 @dataclass(frozen=True)
 class EnergyReport:
@@ -74,44 +73,68 @@ def energy_bilinear(u: VertexFunction, v: VertexFunction) -> float:
     return float(np.sum((u.values[i] - u.values[j]) * (v.values[i] - v.values[j])))
 
 
-def harmonic_extension_cell(a: float, b: float, c: float, d: float):
-    """Energy-minimizing midpoint values of one cell (elementwise on arrays)."""
+#: Eigenvalues that are born, not extended: no extension_cell reaches them.
+FORBIDDEN_VALUES = (2.0, 6.0, 8.0)
+
+
+class ForbiddenEigenvalueError(ValueError):
+    """Extension attempted at a degenerate eigenvalue (2, 6 or 8)."""
+
+
+def extension_cell(lam: float, a: float, b: float, c: float, d: float):
+    """Midpoint values of one cell at eigenvalue lam (elementwise on arrays).
+
+    Slot (i, j) is ((4-lam)(c_i+c_j) + 2(c_k+c_l)) / ((2-lam)(6-lam)), halved
+    above and below; p = 2 and q = 6 exactly give the closed form above at lam = 0.
+    """
+    p, q = (4.0 - lam) / 2.0, (2.0 - lam) * (6.0 - lam) / 2.0
     return (
-        (2 * a + 2 * b + c + d) / 6.0,
-        (a + 2 * b + 2 * c + d) / 6.0,
-        (2 * a + b + 2 * c + d) / 6.0,
-        (2 * a + b + c + 2 * d) / 6.0,
-        (a + 2 * b + c + 2 * d) / 6.0,
-        (a + b + 2 * (c + d)) / 6.0,
+        (p * a + p * b + c + d) / q,
+        (a + p * b + p * c + d) / q,
+        (p * a + b + p * c + d) / q,
+        (p * a + b + c + p * d) / q,
+        (a + p * b + c + p * d) / q,
+        (a + b + p * (c + d)) / q,
     )
 
 
-def harmonic_extend(u: VertexFunction, target: LevelGraph | None = None) -> VertexFunction:
-    """Extend u from level m to the energy minimizer on level m+1.
+def eigenfunction_extend(u: VertexFunction, lambda_m: float, *,
+                         target: LevelGraph | None = None) -> VertexFunction:
+    """Extend a level-(m-1) Dirichlet eigenfunction to level m.
 
-    Agrees with u on V_m; each cell's six new midpoints get the
-    closed-form values.  Pass ``target`` to reuse a prebuilt graph.
+    Requires lam_m outside {2,6,8} (the per-cell solve divides by
+    (2-lam)(6-lam)) and u satisfying -Delta u = lam_m(6-lam_m) u with
+    zero boundary values; the result then satisfies -Delta u = lam_m u
+    on all of V_m minus V_0.  At lam_m = 0 it is the harmonic extension
+    of any u.  For the forbidden values there is no extension formula:
+    take kernel vectors from the dense oracle (born_eigenbasis) instead.
     """
+    if min(abs(lambda_m - f) for f in FORBIDDEN_VALUES) < 1e-9:
+        raise ForbiddenEigenvalueError(
+            f"lam={lambda_m} is degenerate; born eigenfunctions come from the "
+            "dense-oracle kernel (born_eigenbasis), not from extension"
+        )
     target = level_graph(u.graph.level + 1, target)
-    return VertexFunction(target, refine(u.graph, target, u.values, harmonic_extension_cell))
+    midpoints = functools.partial(extension_cell, lambda_m)
+    return VertexFunction(target, refine(u.graph, target, u.values, midpoints))
 
 
 def harmonize(boundary, m: int, *, graphs=None) -> VertexFunction:
     """The level-m harmonic function with the given four corner values.
 
-    Iterates harmonic_extend from level 0, so the renormalized energy
-    equals E_0 of the boundary data at every level.  ``graphs`` may map
-    levels to prebuilt LevelGraphs.
+    Iterates eigenfunction_extend at lam = 0 from level 0, so the
+    renormalized energy equals E_0 of the boundary data at every level.
+    ``graphs`` may map levels to prebuilt LevelGraphs.
     """
-    boundary = tuple(float(x) for x in boundary)
-    if len(boundary) != 4:
+    values = np.array(boundary, dtype=float)
+    if values.shape != (4,):
         raise ValueError("boundary data must be four values (one per corner)")
     if m < 0:
         raise ValueError(f"level must be nonnegative, got {m}")
     lookup = graphs or {}
-    u = VertexFunction(level_graph(0, lookup.get(0)), np.array(boundary))
+    u = VertexFunction(level_graph(0, lookup.get(0)), values)
     for k in range(1, m + 1):
-        u = harmonic_extend(u, target=lookup.get(k))
+        u = eigenfunction_extend(u, 0.0, target=lookup.get(k))
     return u
 
 
@@ -120,7 +143,7 @@ def harmonic_family(boundary):
 
     @functools.cache
     def at_level(m: int) -> VertexFunction:
-        return harmonic_extend(at_level(m - 1)) if m > 0 else harmonize(boundary, m)
+        return eigenfunction_extend(at_level(m - 1), 0.0) if m > 0 else harmonize(boundary, m)
 
     at_level(0)  # checks and copies the boundary data now
     return at_level
@@ -135,8 +158,8 @@ def cell_restriction(u: VertexFunction, letter: int, target: LevelGraph | None =
     g = u.graph
     if g.level < 1:
         raise ValueError("cell restriction needs level >= 1")
-    if letter not in LETTERS:
-        raise ValueError(f"cell letter must lie in 0..3, got {letter}")
+    if not is_letter(letter):
+        raise ValueError(f"cell letter must be an integer in 0..3, got {letter!r}")
     target = level_graph(g.level - 1, target)
     # in product order, cell (letter,) + W of g is cell letter * n + (index of W in target)
     n = len(target.cells)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -48,6 +49,13 @@ class LevelCapError(RuntimeError):
     """Requested level exceeds the configured resource cap."""
 
 
+def is_letter(x) -> bool:
+    """Whether x is an integer in 0..3, not a bool or a float (plain ints skip the ABC check)."""
+    return x in LETTERS and (
+        type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    )
+
+
 @dataclass(frozen=True)
 class Address:
     """Identity of a vertex: the point f_{word}(P_base).
@@ -64,8 +72,8 @@ class Address:
     base: int
 
     def __post_init__(self):
-        if self.base not in LETTERS or any(c not in LETTERS for c in self.word):
-            raise ValueError(f"address letters must lie in 0..3: {self}")
+        if not (is_letter(self.base) and all(map(is_letter, self.word))):
+            raise ValueError(f"address letters must be integers in 0..3, got {self!r}")
 
     def __str__(self):
         return "".join(str(c) for c in self.word) + f":{self.base}"

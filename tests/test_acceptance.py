@@ -21,8 +21,8 @@ from tetralap import (
     enumerate_spectrum,
     eigenvalue_multiset,
     gauss_green_residual,
-    harmonic_extend,
-    harmonic_extension_cell,
+    eigenfunction_extend,
+    extension_cell,
     harmonic_family,
     interior_laplacian,
     jacobi_eigen,
@@ -77,13 +77,13 @@ def test_criterion_02_harmonic_extension(graphs):
         a, b, c, d = rng.normal(scale=2.0, size=4)
         rhs = np.array([a + b, b + c, a + c, a + d, b + d, c + d])
         solved = np.linalg.solve(CELL_SYSTEM, rhs)
-        closed = np.array(harmonic_extension_cell(a, b, c, d))
+        closed = np.array(extension_cell(0.0, a, b, c, d))
         worst = max(worst, float(np.max(np.abs(solved - closed))))
     ratio_worst = 0.0
     for m in range(1, 6):
         g = graphs(m - 1)
         u = VertexFunction(g, rng.normal(size=g.n_vertices))
-        ext = harmonic_extend(u, target=graphs(m))
+        ext = eigenfunction_extend(u, 0.0, target=graphs(m))
         ratio = energy(ext).raw / energy(u).raw
         ratio_worst = max(ratio_worst, abs(ratio - 2.0 / 3.0) / (2.0 / 3.0))
     elapsed = time.perf_counter() - t0
@@ -92,7 +92,7 @@ def test_criterion_02_harmonic_extension(graphs):
 
 
 def test_criterion_03_figure_caption_case():
-    got = harmonic_extension_cell(0, 2, 0, 2)
+    got = extension_cell(0.0, 0, 2, 0, 2)
     expected = (1.0, 1.0, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.0)
     ok = got == expected
     _report(3, ok, f"midpoints={got}")

@@ -19,10 +19,10 @@ from tetralap import (
     Address,
     VertexFunction,
     cell_restriction,
+    eigenfunction_extend,
     energy,
     energy_bilinear,
-    harmonic_extend,
-    harmonic_extension_cell,
+    extension_cell,
     harmonic_family,
     harmonize,
 )
@@ -80,19 +80,46 @@ def test_closed_form_matches_linear_system():
     for _ in range(200):
         a, b, c, d = rng.normal(scale=3.0, size=4)
         assert np.allclose(
-            harmonic_extension_cell(a, b, c, d), solve_cell(a, b, c, d), atol=1e-12
+            extension_cell(0.0, a, b, c, d), solve_cell(a, b, c, d), atol=1e-12
         )
 
 
 def test_cell_extension_known_values():
-    assert harmonic_extension_cell(0, 2, 0, 2) == (1.0, 1.0, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.0)
-    assert harmonic_extension_cell(1, 1, 1, 1) == (1.0,) * 6
+    assert extension_cell(0.0, 0, 2, 0, 2) == (1.0, 1.0, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.0)
+    assert extension_cell(0.0, 1, 1, 1, 1) == (1.0,) * 6
     # frozen from solve_cell(1, 0, 0, 0)
     assert np.allclose(
-        harmonic_extension_cell(1, 0, 0, 0),
+        extension_cell(0.0, 1, 0, 0, 0),
         (1 / 3, 1 / 6, 1 / 3, 1 / 3, 1 / 6, 1 / 6),
         atol=1e-15,
     )
+
+
+def _harmonic_closed_forms(a, b, c, d):
+    # the per-cell harmonic extension as it was written before it became
+    # extension_cell at lam = 0, association for association
+    return (
+        (2 * a + 2 * b + c + d) / 6.0,
+        (a + 2 * b + 2 * c + d) / 6.0,
+        (2 * a + b + 2 * c + d) / 6.0,
+        (2 * a + b + c + 2 * d) / 6.0,
+        (a + 2 * b + c + 2 * d) / 6.0,
+        (a + b + 2 * (c + d)) / 6.0,
+    )
+
+
+@pytest.mark.parametrize("corners", [
+    pytest.param(np.random.default_rng(13).normal(scale=3.0, size=(4, 2000)), id="random"),
+    pytest.param(np.full((4, 3), -0.0), id="negative-zero"),
+    pytest.param(np.random.default_rng(14).choice([-1.0, 1.0], size=(4, 2000))
+                 * np.random.default_rng(15).uniform(0.5e308, 1.7e308, size=(4, 2000)),
+                 id="near-overflow"),
+])
+def test_extension_cell_at_zero_is_the_harmonic_closed_form(corners):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = extension_cell(0.0, *corners)
+        want = _harmonic_closed_forms(*corners)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
 def test_extension_ratio_for_arbitrary_functions(graphs):
@@ -100,7 +127,7 @@ def test_extension_ratio_for_arbitrary_functions(graphs):
     for m in range(1, 6):
         g = graphs(m - 1)
         u = VertexFunction(g, rng.normal(size=g.n_vertices))
-        ext = harmonic_extend(u, target=graphs(m))
+        ext = eigenfunction_extend(u, 0.0, target=graphs(m))
         assert energy(ext).raw == pytest.approx(
             (2.0 / 3.0) * energy(u).raw, rel=1e-12
         )
@@ -109,7 +136,7 @@ def test_extension_ratio_for_arbitrary_functions(graphs):
 def test_extension_agrees_on_old_vertices(graphs):
     rng = np.random.default_rng(5)
     u = VertexFunction(graphs(1), rng.normal(size=10))
-    ext = harmonic_extend(u, target=graphs(2))
+    ext = eigenfunction_extend(u, 0.0, target=graphs(2))
     for a in graphs(1).vertices:
         assert ext.value_at(a) == u.value_at(a)
 
@@ -118,7 +145,7 @@ def test_extension_minimizes_energy(graphs):
     rng = np.random.default_rng(6)
     for m in (1, 2):
         base = VertexFunction(graphs(m - 1), rng.normal(size=graphs(m - 1).n_vertices))
-        ext = harmonic_extend(base, target=graphs(m))
+        ext = eigenfunction_extend(base, 0.0, target=graphs(m))
         e0 = energy(ext).raw
         old = {graphs(m).index_of(a) for a in graphs(m - 1).vertices}
         new = [v for v in range(graphs(m).n_vertices) if v not in old]
@@ -152,7 +179,7 @@ def test_harmonize_zero_boundary(graphs):
 
 def test_constant_extends_to_constant(graphs):
     u = VertexFunction(graphs(1), np.full(10, 2.5))
-    ext = harmonic_extend(u, target=graphs(2))
+    ext = eigenfunction_extend(u, 0.0, target=graphs(2))
     assert np.all(ext.values == 2.5)
 
 
@@ -184,10 +211,10 @@ def test_cell_extension_symmetry_equivariance():
 
     rng = np.random.default_rng(9)
     vals = rng.normal(size=4)
-    base = harmonic_extension_cell(*vals)
+    base = extension_cell(0.0, *vals)
     pair_slot = {frozenset(p): k for k, p in enumerate(CELL_MIDPOINT_PAIRS)}
     for perm in itertools.permutations(range(4)):
-        permuted = harmonic_extension_cell(*(vals[list(perm)]))
+        permuted = extension_cell(0.0, *(vals[list(perm)]))
         for k, (i, j) in enumerate(CELL_MIDPOINT_PAIRS):
             # midpoint slot (i,j) of the permuted input carries the value
             # the original placed on (perm[i], perm[j])
@@ -233,6 +260,29 @@ def test_vertex_function_validation(graphs):
         VertexFunction(graphs(1), np.zeros(9))
     with pytest.raises(ValueError):
         VertexFunction(graphs(0), np.array([1.0, np.nan, 0.0, 0.0]))
+
+
+def test_boundary_must_be_four_numbers():
+    # a string is one value, not four characters
+    for boundary in ("1234", (1.0, 0.0, 0.0), None):
+        with pytest.raises(ValueError, match="four values"):
+            harmonize(boundary, 1)
+        with pytest.raises(ValueError, match="four values"):
+            harmonic_family(boundary)
+
+
+def test_letters_must_be_integers(graphs):
+    u = VertexFunction.zeros(graphs(1))
+    for letter in (1.0, True, np.float64(1.0), np.bool_(True)):
+        with pytest.raises(ValueError, match="integers in 0..3"):
+            Address((0,), letter)
+        with pytest.raises(ValueError, match="integers in 0..3"):
+            Address((letter,), 0)
+        with pytest.raises(ValueError, match="integer in 0..3"):
+            cell_restriction(u, letter)
+    assert Address((np.int64(0),), np.int64(1)) == Address((0,), 1)
+    same = cell_restriction(u, np.int64(1)).values == cell_restriction(u, 1).values
+    assert np.all(same)
 
 
 def test_harmonic_family_builds_each_level_once(monkeypatch):
