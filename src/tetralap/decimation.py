@@ -177,7 +177,11 @@ class LimitTable(SpectrumTable):
         return len(self.values)
 
     def __getitem__(self, i):
-        return self.records[i]
+        if isinstance(i, slice):
+            return self.records[i]
+        k = range(len(self))[i]  # negative i and IndexError as on a tuple
+        (row,) = self._rows(slice(k, k + 1))
+        return self._record(*row)
 
     def __iter__(self):
         return iter(self.records)
@@ -499,10 +503,23 @@ def eigenfunction_family(
 # --- serialization ------------------------------------------------------
 
 
+#: Records spectrum_from_json compares at a time: enough to keep the
+#: per-block calls cheap, few enough to keep its transient lists small.
+_JSON_BLOCK = 4096
+
+
+def _fields(table: SpectrumTable) -> list[str]:
+    return [field for field, _ in table.COLUMNS.values()]
+
+
+def _json_rows(fields, rows):
+    """Rows (tuples in COLUMNS order) as JSON dicts, one field per column."""
+    return map(dict, map(zip, itertools.repeat(fields), rows))
+
+
 def _table_json(table: SpectrumTable):
-    """The table's rows as JSON dicts, one field per column, read from the columns."""
-    fields = [field for field, _ in table.COLUMNS.values()]
-    return (dict(zip(fields, row)) for row in table._rows())
+    """The table's rows as JSON dicts, read from the columns."""
+    return _json_rows(_fields(table), table._rows())
 
 
 def spectrum_json(table: SpectrumTable) -> dict:
@@ -531,18 +548,37 @@ def spectrum_from_json(data: dict) -> SpectrumTable:
     if total != stated:
         raise ValueError(f"multiplicities add up to {total}, not {stated}")
     table = enumerate_spectrum(level)
-    for i, (want, got) in enumerate(itertools.zip_longest(_table_json(table), records)):
-        # dict == takes 1, 1.0 and true for one another, so each field's type is checked too
-        if want == got and all(type(got[k]) is type(v) for k, v in want.items()):
+    fields = _fields(table)
+    for start in range(0, max(len(table.values), len(records)), _JSON_BLOCK):
+        block = slice(start, start + _JSON_BLOCK)
+        want = [getattr(table, name)[block].tolist() for name in table.COLUMNS]
+        got = records[block]
+        # compared column by column: dict.get gives None for a missing field,
+        # which no column holds, and == takes 1, 1.0 and true for one another,
+        # so each column's types are checked too; only a block that fails is
+        # scanned record by record
+        columns = [list(map(dict.get, got, itertools.repeat(field))) for field in fields]
+        if set(map(len, got)) == {len(fields)} and columns == want and all(
+            set(map(type, column)) == {type(w[0])} for column, w in zip(columns, want)
+        ):
             continue
-        differs = ValueError(f"record {i} differs from the level-{table.level} spectrum")
-        try:
-            lineage = Lineage(got["birth_level"], got["birth_value"], got["branches"])
-        except (KeyError, TypeError):  # no record here, or one without a lineage
-            raise differs from None
-        if lineage.level != table.level:
-            raise ValueError(f"record {i}: {lineage} does not end at level {table.level}")
-        raise differs
+        for i, (want_record, got_record) in enumerate(
+            itertools.zip_longest(_json_rows(fields, zip(*want)), got), start
+        ):
+            if want_record == got_record and all(
+                type(got_record[k]) is type(v) for k, v in want_record.items()
+            ):
+                continue
+            differs = ValueError(f"record {i} differs from the level-{table.level} spectrum")
+            try:
+                lineage = Lineage(
+                    got_record["birth_level"], got_record["birth_value"], got_record["branches"]
+                )
+            except (KeyError, TypeError):  # no record here, or one without a lineage
+                raise differs from None
+            if lineage.level != table.level:
+                raise ValueError(f"record {i}: {lineage} does not end at level {table.level}")
+            raise differs
     return table
 
 

@@ -9,6 +9,7 @@ Jacobi is slow but dependable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,16 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(b))
 
 
+def _turn(x: np.ndarray, y: np.ndarray, c: float, s: float) -> None:
+    """x, y = c*x - s*y, s*x + c*y in place: each entry is two rounded
+    products and one rounded sum, whichever order the sum is written in."""
+    sx = s * x
+    x *= c
+    x -= s * y
+    y *= c
+    y += sx
+
+
 def jacobi_eigen(a: DirichletMatrix | np.ndarray) -> EigenDecomposition:
     """Full symmetric eigendecomposition by cyclic Jacobi rotations.
 
@@ -90,11 +101,15 @@ def jacobi_eigen(a: DirichletMatrix | np.ndarray) -> EigenDecomposition:
     n = work.shape[0]
     if work.shape != (n, n) or not np.array_equal(work, work.T):
         raise ValueError("jacobi_eigen needs an exactly symmetric square matrix")
-    vee = np.eye(n)
     fro = float(np.linalg.norm(work))
     if fro == 0.0 or n == 1:
-        return EigenDecomposition(np.diag(work).copy(), vee, 0.0, 0)
+        return EigenDecomposition(np.diag(work).copy(), np.eye(n), 0.0, 0)
 
+    # row p of the matrix and of the eigenvectors stored as rows (vt is
+    # vee.T) sit side by side in both[p], so one update turns both rows
+    both = np.stack([work, np.eye(n)], axis=1)
+    work, vt = both[:, 0], both[:, 1]
+    cols = work.T  # the column update is a row update of the transpose
     sweeps = 0
     while True:
         off = _off_norm(work)
@@ -109,37 +124,28 @@ def jacobi_eigen(a: DirichletMatrix | np.ndarray) -> EigenDecomposition:
         # sweep; they are picked up later once off has shrunk
         thresh = 0.2 * off / n
         for p in range(n - 1):
-            live = np.nonzero(np.abs(work[p, p + 1:]) > thresh)[0] + p + 1
+            live = (np.flatnonzero(np.abs(work[p, p + 1:]) > thresh) + (p + 1)).tolist()
             for q in live:
-                apq = work[p, q]
+                apq = work.item(p, q)
                 if abs(apq) <= thresh:
                     continue  # shrunk by an earlier rotation this sweep
-                theta = 0.5 * (work[q, q] - work[p, p]) / apq
+                theta = 0.5 * (work.item(q, q) - work.item(p, p)) / apq
                 if theta == 0.0:
                     t = 1.0
                 else:
-                    t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                c = 1.0 / np.sqrt(t * t + 1.0)
+                    # np.hypot, not math.hypot, which may round differently
+                    t = math.copysign(1.0, theta) / (abs(theta) + float(np.hypot(1.0, theta)))
+                c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                rp = work[p, :].copy()
-                rq = work[q, :].copy()
-                work[p, :] = c * rp - s * rq
-                work[q, :] = s * rp + c * rq
-                cp = work[:, p].copy()
-                cq = work[:, q].copy()
-                work[:, p] = c * cp - s * cq
-                work[:, q] = s * cp + c * cq
-                vp = vee[:, p].copy()
-                vq = vee[:, q].copy()
-                vee[:, p] = c * vp - s * vq
-                vee[:, q] = s * vp + c * vq
+                _turn(both[p], both[q], c, s)
+                _turn(cols[p], cols[q], c, s)
         sweeps += 1
 
     vals = np.diag(work).copy()
     order = np.argsort(vals, kind="stable")
     return EigenDecomposition(
         values=vals[order],
-        vectors=vee[:, order],
+        vectors=vt[order].T.copy(),
         off_diag_norm=_off_norm(work),
         sweeps=sweeps,
     )

@@ -13,6 +13,7 @@ Core claims:
 """
 
 import dataclasses
+import json
 import math
 
 import mpmath as mp
@@ -186,6 +187,21 @@ def test_spectrum_table_columns():
         limits.birth_values, limits.branches,
     )
     assert limits != graph and graph != limits
+
+
+def test_limit_table_item_builds_one_row():
+    limits = limit_spectrum(6, 127)
+    first, last = limits[0], limits[-1]
+    assert "records" not in vars(limits)  # no other row was built
+    assert (first, last) == (limits.records[0], limits.records[-1])
+    assert [limits[i] for i in range(-127, 127)] == list(limits.records) * 2
+    assert limits[np.int64(5)] == limits.records[5]
+    assert limits[3:9] == limits.records[3:9] and limits[::-1] == limits.records[::-1]
+    for i in (127, -128):
+        with pytest.raises(IndexError):
+            limits[i]
+    with pytest.raises(TypeError):
+        limits[1.0]
 
 
 def test_spectrum_table_refuses_ragged_columns():
@@ -656,6 +672,63 @@ def _born8_as_ints(doc):
 def test_spectrum_from_json_rejects_malformed(malform):
     with pytest.raises(ValueError):
         spectrum_from_json(malform(spectrum_json(enumerate_spectrum(2))))
+
+
+@pytest.fixture(scope="module")
+def level15_records():
+    return spectrum_json(enumerate_spectrum(15))["records"]
+
+
+def _edit(records, i, **fields):
+    """Record i with fields replaced; a field set to None is dropped."""
+    record = {**records[i], **fields}
+    return records[:i] + [{k: v for k, v in record.items() if v is not None}] + records[i + 1:]
+
+
+# records 40000 to 40003 of level 15 are all born at level 1, and 40003 is
+# (1, 6.0, "+--++--+--+-++"); the last record is the born-8 one, 65534
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda rs: _edit(rs, 40002, birth_value=8), "record 40002 differs",
+                 id="int-for-float"),
+    pytest.param(lambda rs: _edit(rs, 40000, birth_level=True), "record 40000 differs",
+                 id="true-for-int"),
+    pytest.param(lambda rs: _edit(rs, 40001, multiplicity=2 ** 70), "record 40001 differs",
+                 id="huge-multiplicity"),
+    pytest.param(lambda rs: _edit(rs, 40003, branches="+--++--+--+-+-"), "record 40003 differs",
+                 id="branch-changed"),
+    pytest.param(lambda rs: _edit(rs, 40003, branches="+--++--+--+-+"),
+                 "record 40003: Lineage(birth_level=1, birth_value=6.0, "
+                 "branches='+--++--+--+-+') does not end at level 15", id="branch-dropped"),
+    pytest.param(lambda rs: _edit(rs, 40000, value=None), "record 40000 differs",
+                 id="missing-value"),
+    pytest.param(lambda rs: _edit(rs, 40000, branches=None), "record 40000 differs",
+                 id="missing-branches"),
+    pytest.param(lambda rs: _edit(rs, 40000, note="extra key"), "record 40000 differs",
+                 id="extra-key"),
+    pytest.param(lambda rs: _edit(_edit(rs, 60000, value=0.5), 40000, value=0.5),
+                 "record 40000 differs", id="first-of-two"),
+    pytest.param(lambda rs: rs[:-1], "record 65534 differs", id="one-short"),
+    pytest.param(lambda rs: rs + rs[-1:], "record 65535 differs", id="one-long"),
+    pytest.param(lambda rs: rs + [{**rs[-1], "birth_level": 14}],
+                 "record 65535: Lineage(birth_level=14, birth_value=8.0, branches='') "
+                 "does not end at level 15", id="one-long-other-level"),
+])
+def test_spectrum_from_json_names_the_first_differing_record(level15_records, edit, message):
+    records = edit(level15_records)
+    doc = {"level": 15, "total_multiplicity": sum(r["multiplicity"] for r in records),
+           "records": records}
+    with pytest.raises(ValueError) as excinfo:
+        spectrum_from_json(doc)
+    if "does not end" not in message:
+        message += " from the level-15 spectrum"
+    assert str(excinfo.value) == message
+
+
+def test_spectrum_json_round_trip_level15(level15_records):
+    table = enumerate_spectrum(15)
+    doc = json.loads(json.dumps(spectrum_json(table)))
+    assert doc["records"] == level15_records
+    assert spectrum_from_json(doc) == table
 
 
 def test_spectrum_json_fields():

@@ -11,6 +11,7 @@ Core claims:
       levels 1..3 within 1e-8
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -100,6 +101,29 @@ def test_jacobi_identity_matrix():
     decomp = jacobi_eigen(np.eye(5))
     assert np.array_equal(decomp.values, np.ones(5))
     assert decomp.sweeps == 0
+
+
+@pytest.mark.parametrize("mat", [np.array([[3.5]]), np.zeros((4, 4))], ids=["1x1", "zero"])
+def test_jacobi_needs_no_rotation(mat):
+    decomp = jacobi_eigen(mat)
+    assert np.array_equal(decomp.values, np.diag(mat))
+    assert np.array_equal(decomp.vectors, np.eye(len(mat)))
+    assert decomp.sweeps == 0 and decomp.off_diag_norm == 0.0
+
+
+@pytest.mark.parametrize("m, digest, sweeps, off", [
+    (2, "038638b6ad515a4d9c5abe7d3856dbe3525661af117626d5d75cba5c1067d9be", 12,
+     "2.7225091998647045e-14"),
+    (3, "56de2c09e7f2b9b93e4cf09865038e1d702d708aa0b231e622bb062398c4517b", 14,
+     "2.6870927215753686e-13"),
+])
+def test_jacobi_decomposition_is_pinned(oracle_decomps, m, digest, sweeps, off):
+    # the whole decomposition, bit for bit: oracle-compare's pinned
+    # documents carry the values only
+    decomp = oracle_decomps(m)
+    assert hashlib.sha256(decomp.values.tobytes() + decomp.vectors.tobytes()).hexdigest() == digest
+    assert decomp.sweeps == sweeps
+    assert repr(decomp.off_diag_norm) == off
 
 
 def test_jacobi_rejects_asymmetric():
