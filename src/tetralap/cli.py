@@ -78,11 +78,6 @@ def _csv(header: str, rows) -> str:
     )
 
 
-def _records_csv(records) -> str:
-    """JSON records as CSV, one column per key."""
-    return _csv(",".join(records[0]), (r.values() for r in records))
-
-
 def _cmd_build_graph(args: argparse.Namespace) -> str:
     g = build_level(args.level)
     if args.format == "json":
@@ -111,19 +106,20 @@ def _cmd_harmonic(args: argparse.Namespace) -> str:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> str:
-    doc = spectrum_json(enumerate_spectrum(args.level))
     if args.format == "csv":
-        return _records_csv(doc["records"])
-    return _json_text(doc)
+        table = enumerate_spectrum(args.level)
+        return _csv(",".join(table.fields), table.rows())
+    # the table is freed before json.dumps runs
+    return _json_text(spectrum_json(enumerate_spectrum(args.level)))
 
 
 def _cmd_limit_spectrum(args: argparse.Namespace) -> str:
     if args.fit and args.format != "json":
         raise ValueError("--fit is written only in the JSON format")
     limits = limit_spectrum(args.births, args.count)
-    doc = limit_spectrum_json(limits)
     if args.format == "csv":
-        return _records_csv(doc["limit_eigenvalues"])
+        return _csv(",".join(limits.fields), limits.rows())
+    doc = limit_spectrum_json(limits)
     if args.fit:
         alpha, diag = weyl_fit(limits)
         doc["weyl_fit"] = {

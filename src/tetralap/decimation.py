@@ -28,6 +28,7 @@ cancellation that makes 3 - sqrt(9 - lam) lose digits as lam -> 0.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -89,10 +90,18 @@ class EigenvalueRecord:
         return self.lineage.level
 
 
+@dataclass(frozen=True, slots=True)
+class LimitEigenvalue(EigenvalueRecord):
+    """2 * lim 6^k lam_k along a lineage continued as limit_eigenvalue does."""
+
+    generations_used: int
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
     """The level-m spectrum as read-only columns, one row per record, in
-    ascending value order; ``branches`` holds each row's Lineage.branches."""
+    ascending value order; ``branches`` holds each row's Lineage.branches.
+    The table reads as a sequence of ROW records (len, indexing, iteration)."""
 
     #: Column name -> (JSON field, dtype); a row is one record.
     COLUMNS: ClassVar[dict[str, tuple[str, type]]] = {
@@ -102,6 +111,7 @@ class SpectrumTable:
         "birth_values": ("birth_value", np.float64),
         "branches": ("branches", np.str_),
     }
+    ROW: ClassVar[type] = EigenvalueRecord
 
     level: int
     values: np.ndarray
@@ -118,6 +128,8 @@ class SpectrumTable:
                                  f"got shape {column.shape}")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        if np.isnan(self.values).any() or (self.values[1:] < self.values[:-1]).any():
+            raise ValueError("values must ascend")
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -126,32 +138,39 @@ class SpectrumTable:
             np.array_equal(getattr(self, name), getattr(other, name)) for name in self.COLUMNS
         )
 
-    def _rows(self, rows=slice(None)):
+    @property
+    def fields(self) -> list[str]:
+        """The JSON field of each column, in COLUMNS order."""
+        return [field for field, _ in self.COLUMNS.values()]
+
+    def rows(self, rows=slice(None)):
         """The selected rows as tuples of Python scalars, in COLUMNS order."""
         return zip(*(getattr(self, name)[rows].tolist() for name in self.COLUMNS))
 
-    @staticmethod
-    def _record(value, multiplicity, birth_level, birth_value, branches):
-        return EigenvalueRecord(value, multiplicity, Lineage(birth_level, birth_value, branches))
+    def _record(self, value, multiplicity, birth_level, birth_value, branches, *rest):
+        return self.ROW(value, multiplicity, Lineage(birth_level, birth_value, branches), *rest)
 
     @functools.cached_property
     def records(self) -> tuple:
-        """The rows as record objects, built on first access."""
-        return tuple(self._record(*row) for row in self._rows())
+        """The rows as ROW records, built on first access."""
+        return tuple(self._record(*row) for row in self.rows())
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.records[i]
+        k = range(len(self))[i]  # negative i and IndexError as on a tuple
+        (row,) = self.rows(slice(k, k + 1))
+        return self._record(*row)
+
+    def __iter__(self):
+        return iter(self.records)
 
     @property
     def total_multiplicity(self) -> int:
         return int(self.multiplicities.sum())
-
-
-@dataclass(frozen=True)
-class LimitEigenvalue:
-    """2 * lim 6^k lam_k along a lineage continued as limit_eigenvalue does."""
-
-    lineage: Lineage
-    value: float
-    multiplicity: int
-    generations_used: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,27 +183,14 @@ class LimitTable(SpectrumTable):
         **SpectrumTable.COLUMNS,
         "generations_used": ("generations_used", np.int64),
     }
+    ROW: ClassVar[type] = LimitEigenvalue
 
     generations_used: np.ndarray
 
-    @staticmethod
-    def _record(value, multiplicity, birth_level, birth_value, branches, generations_used):
-        return LimitEigenvalue(
-            Lineage(birth_level, birth_value, branches), value, multiplicity, generations_used
-        )
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.records[i]
-        k = range(len(self))[i]  # negative i and IndexError as on a tuple
-        (row,) = self._rows(slice(k, k + 1))
-        return self._record(*row)
-
-    def __iter__(self):
-        return iter(self.records)
+def _constant(value: float, formula: str):
+    """A DimensionConstants field: its value, with the formula it is written by."""
+    return dataclasses.field(default=value, metadata={"formula": formula})
 
 
 @dataclass(frozen=True)
@@ -199,21 +205,15 @@ class DimensionConstants:
     see weyl_fit.)  ``weyl_alpha`` = d/(d+1) = ln4/ln6.
     """
 
-    hausdorff: float = math.log(4.0) / math.log(2.0)
-    beta: float = math.log(1.5) / math.log(2.0)
-    resistance_dim: float = math.log(4.0) / math.log(1.5)
-    weyl_alpha: float = math.log(4.0) / math.log(6.0)
+    hausdorff: float = _constant(math.log(4.0) / math.log(2.0), "ln(4)/ln(2)")
+    beta: float = _constant(math.log(1.5) / math.log(2.0), "ln(3/2)/ln(2)")
+    resistance_dim: float = _constant(math.log(4.0) / math.log(1.5), "ln(4)/ln(3/2)")
+    weyl_alpha: float = _constant(math.log(4.0) / math.log(6.0), "ln(4)/ln(6)")
 
     def as_dict(self) -> dict[str, dict]:
-        formulas = {
-            "hausdorff": "ln(4)/ln(2)",
-            "beta": "ln(3/2)/ln(2)",
-            "resistance_dim": "ln(4)/ln(3/2)",
-            "weyl_alpha": "ln(4)/ln(6)",
-        }
         return {
-            name: {"value": getattr(self, name), "formula": formulas[name]}
-            for name in formulas
+            f.name: {"value": getattr(self, f.name), "formula": f.metadata["formula"]}
+            for f in dataclasses.fields(self)
         }
 
 
@@ -282,7 +282,8 @@ def enumerate_spectrum(m: int) -> SpectrumTable:
     if m > SPECTRUM_LEVEL_CAP:
         raise LevelCapError(f"spectrum enumeration capped at level {SPECTRUM_LEVEL_CAP}, got {m}")
     values = born_at = np.empty(0)
-    mults = levels = bits = np.empty(0, np.int64)  # bits: the branches, PLUS = 1, last lowest
+    mults = levels = np.empty(0, np.int64)
+    chars = np.empty((0, m), np.uint8)  # the branches as bytes, NUL past each row's last
     for k in range(1, m + 1):
         # one child per allowed (parent, branch), each parent's MINUS before its PLUS
         allowed = np.column_stack([~np.isin(values, _PLUS_ONLY), np.ones(len(values), bool)])
@@ -293,19 +294,13 @@ def enumerate_spectrum(m: int) -> SpectrumTable:
         mults = np.concatenate([mults[parents], list(births.values())])
         levels = np.concatenate([levels[parents], [k] * len(births)])
         born_at = np.concatenate([born_at[parents], list(births)])
-        bits = np.concatenate([2 * bits[parents] + plus, [0] * len(births)])
+        chars = np.concatenate([chars[parents], np.zeros((len(births), m), np.uint8)])
+        # this level's branch goes at position k - birth_level - 1 of each continued row
+        continued = np.arange(len(parents))
+        chars[continued, k - levels[continued] - 1] = np.where(plus, ord(PLUS), ord(MINUS))
     order = np.argsort(values, kind="stable")
-    levels, bits = levels[order], bits[order]
-    # branch strings one position at a time: branch j of a row with n
-    # branches is bit n - 1 - j; positions past n stay NUL, which numpy strips
-    lengths = m - levels
-    chars = np.zeros((len(bits), m), np.uint32)
-    for j in range(m):
-        row = lengths > j
-        step = (bits[row] >> (lengths[row] - 1 - j)) & 1
-        chars[row, j] = np.where(step, ord(PLUS), ord(MINUS))
-    branches = chars.view(f"U{m}")[:, 0]
-    return SpectrumTable(m, values[order], mults[order], levels, born_at[order], branches)
+    branches = chars[order].view(f"S{m}")[:, 0].astype(str)  # numpy strips the NULs
+    return SpectrumTable(m, values[order], mults[order], levels[order], born_at[order], branches)
 
 
 def _limits(table: SpectrumTable, count: int) -> LimitTable:
@@ -318,7 +313,7 @@ def _limits(table: SpectrumTable, count: int) -> LimitTable:
     ValueError naming the lineage of the first row still moving after
     LIMIT_GENERATION_CAP generations.
     """
-    size = len(table.values)
+    size = len(table)
     limits, generations, pluses = np.empty(size), np.empty(size, np.int64), np.empty(size, np.int64)
     rows, lam, taken = np.arange(size), table.values, np.zeros(size, np.int64)
     power = 6.0 ** table.level
@@ -338,7 +333,7 @@ def _limits(table: SpectrumTable, count: int) -> LimitTable:
         if not len(rows):
             break
     else:
-        (_, _, level, born, branches), = table._rows(rows[:1])
+        (_, _, level, born, branches), = table.rows(rows[:1])
         raise ValueError(
             f"the limit of {Lineage(level, born, branches)} did not converge within "
             f"LIMIT_GENERATION_CAP = {LIMIT_GENERATION_CAP} generations"
@@ -375,23 +370,23 @@ def limit_spectrum(m_birth_max: int, count: int) -> LimitTable:
     if count < 1:
         raise ValueError("count must be >= 1")
     table = enumerate_spectrum(m_birth_max)
-    if count > len(table.values):
+    if count > len(table):
         raise ValueError(
-            f"only {len(table.values)} lineages have births up to level "
+            f"only {len(table)} lineages have births up to level "
             f"{m_birth_max}; raise m_birth_max for more"
         )
     return _limits(table, count)
 
 
 def counting_function(spectrum: SpectrumTable, x):
-    """N(x): total multiplicity of eigenvalues <= x, an int at a scalar x and
-    one count per element at an array x; ValueError at NaN."""
+    """N(x): total multiplicity of eigenvalues <= x, summed along the table's
+    ascending rows; an int at a scalar x and one count per element at an
+    array x; ValueError at NaN."""
     x = np.asarray(x, dtype=np.float64)
     if np.isnan(x).any():
         raise ValueError("N(x) is not defined at NaN")
-    order = np.argsort(spectrum.values, kind="stable")
-    totals = np.concatenate([[0], np.cumsum(spectrum.multiplicities[order])])
-    counts = totals[np.searchsorted(spectrum.values[order], x, side="right")]
+    totals = np.concatenate([[0], np.cumsum(spectrum.multiplicities)])
+    counts = totals[np.searchsorted(spectrum.values, x, side="right")]
     return int(counts) if counts.ndim == 0 else counts
 
 
@@ -412,7 +407,7 @@ def weyl_fit(limits: SpectrumTable) -> tuple[float, WeylFitDiagnostics]:
     excluded: the additive O(1) term dominates the bottom and the
     enumeration truncates the top.
     """
-    xs = np.sort(limits.values)
+    xs = limits.values
     if len(xs) < 100:
         raise ValueError(f"weyl_fit needs at least 100 limit eigenvalues, got {len(xs)}")
     ns = counting_function(limits, xs)
@@ -508,10 +503,6 @@ def eigenfunction_family(
 _JSON_BLOCK = 4096
 
 
-def _fields(table: SpectrumTable) -> list[str]:
-    return [field for field, _ in table.COLUMNS.values()]
-
-
 def _json_rows(fields, rows):
     """Rows (tuples in COLUMNS order) as JSON dicts, one field per column."""
     return map(dict, map(zip, itertools.repeat(fields), rows))
@@ -519,7 +510,7 @@ def _json_rows(fields, rows):
 
 def _table_json(table: SpectrumTable):
     """The table's rows as JSON dicts, read from the columns."""
-    return _json_rows(_fields(table), table._rows())
+    return _json_rows(table.fields, table.rows())
 
 
 def spectrum_json(table: SpectrumTable) -> dict:
@@ -548,8 +539,8 @@ def spectrum_from_json(data: dict) -> SpectrumTable:
     if total != stated:
         raise ValueError(f"multiplicities add up to {total}, not {stated}")
     table = enumerate_spectrum(level)
-    fields = _fields(table)
-    for start in range(0, max(len(table.values), len(records)), _JSON_BLOCK):
+    fields = table.fields
+    for start in range(0, max(len(table), len(records)), _JSON_BLOCK):
         block = slice(start, start + _JSON_BLOCK)
         want = [getattr(table, name)[block].tolist() for name in table.COLUMNS]
         got = records[block]

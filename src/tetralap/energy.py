@@ -27,13 +27,15 @@ from .fractal_graph import Address, LevelGraph, is_letter, level_graph, refine
 
 @dataclass
 class VertexFunction:
-    """A real-valued function on the vertices of a level graph."""
+    """A real-valued function on the vertices of a level graph; it owns a
+    read-only copy of its values."""
 
     graph: LevelGraph
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.array(self.values, dtype=float)
+        self.values.flags.writeable = False
         if self.values.shape != (self.graph.n_vertices,):
             raise ValueError(
                 f"expected {self.graph.n_vertices} values for level "

@@ -13,6 +13,7 @@ Core claims:
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -189,19 +190,47 @@ def test_spectrum_table_columns():
     assert limits != graph and graph != limits
 
 
-def test_limit_table_item_builds_one_row():
-    limits = limit_spectrum(6, 127)
-    first, last = limits[0], limits[-1]
-    assert "records" not in vars(limits)  # no other row was built
-    assert (first, last) == (limits.records[0], limits.records[-1])
-    assert [limits[i] for i in range(-127, 127)] == list(limits.records) * 2
-    assert limits[np.int64(5)] == limits.records[5]
-    assert limits[3:9] == limits.records[3:9] and limits[::-1] == limits.records[::-1]
+# sha256 over the columns in COLUMNS order: each numeric column's bytes,
+# then the branches joined by newlines
+@pytest.mark.parametrize("build, dtype, digest", [
+    pytest.param(lambda: enumerate_spectrum(15), "<U15",
+                 "2d8b2182d27c4e0df0c1842eda677606d4a4eb93f035700bc0719224195544b3",
+                 id="spectrum-15"),
+    pytest.param(lambda: limit_spectrum(15, 65535), "<U16",
+                 "6f5a1fdf979b9e997d17e0f3985705f427320c1e700ab070beede24cd6248f96",
+                 id="limit-15-65535"),
+])
+def test_tables_at_the_cap_are_pinned(build, dtype, digest):
+    table = build()
+    assert table.level == decimation.SPECTRUM_LEVEL_CAP
+    assert table.branches.dtype == dtype
+    sha = hashlib.sha256()
+    for name in table.COLUMNS:
+        column = getattr(table, name)
+        sha.update("\n".join(column.tolist()).encode() if name == "branches" else column.tobytes())
+    assert sha.hexdigest() == digest
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: enumerate_spectrum(6), id="graph"),
+    pytest.param(lambda: limit_spectrum(6, 127), id="limit"),
+])
+def test_limit_table_item_builds_one_row(build):
+    table = build()
+    first, last = table[0], table[-1]
+    assert "records" not in vars(table)  # no other row was built
+    assert isinstance(first, EigenvalueRecord) and first.level == first.lineage.level
+    assert type(first) is table.ROW
+    assert (first, last) == (table.records[0], table.records[-1])
+    assert [table[i] for i in range(-127, 127)] == list(table.records) * 2
+    assert table[np.int64(5)] == table.records[5]
+    assert table[3:9] == table.records[3:9] and table[::-1] == table.records[::-1]
+    assert list(table) == list(table.records) and len(table) == 127
     for i in (127, -128):
         with pytest.raises(IndexError):
-            limits[i]
+            table[i]
     with pytest.raises(TypeError):
-        limits[1.0]
+        table[1.0]
 
 
 def test_spectrum_table_refuses_ragged_columns():
@@ -214,6 +243,14 @@ def test_spectrum_table_refuses_ragged_columns():
     limits = limit_spectrum(3, 5)
     with pytest.raises(ValueError, match="generations_used"):
         dataclasses.replace(limits, generations_used=limits.generations_used[:4])
+    # counting_function and weyl_fit take the rows as ascending, so a table
+    # refuses values out of order, and NaN, which has no order
+    for values in ([8.0, 2.0], [2.0, math.nan], [math.nan]):
+        n = len(values)
+        with pytest.raises(ValueError, match="ascend"):
+            SpectrumTable(1, values, [1] * n, [1] * n, [2.0] * n, [""] * n)
+    with pytest.raises(ValueError, match="ascend"):
+        dataclasses.replace(limits, values=limits.values[::-1])
 
 
 def test_multiplicity_constant_along_lineage():
@@ -456,9 +493,10 @@ def test_extend_explicit_level1_eigenfunction(graphs):
     from tetralap import CELL_MIDPOINT_PAIRS
 
     g1 = graphs(1)
-    u = VertexFunction.zeros(g1)
+    values = np.zeros(g1.n_vertices)
     for (i, j) in CELL_MIDPOINT_PAIRS:
-        u.values[g1.index_of(Address((i,), j))] = 1.0
+        values[g1.index_of(Address((i,), j))] = 1.0
+    u = VertexFunction(g1, values)
     lam2 = decimate_up(2.0)[0]
     ext = eigenfunction_extend(u, lam2, target=graphs(2))
     assert _residual(ext, lam2) < 1e-10 * np.max(np.abs(ext.values))

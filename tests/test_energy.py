@@ -262,6 +262,21 @@ def test_vertex_function_validation(graphs):
         VertexFunction(graphs(0), np.array([1.0, np.nan, 0.0, 0.0]))
 
 
+def test_vertex_function_owns_read_only_values(graphs):
+    # the caller's array stays the caller's: changing it after construction
+    # cannot undo the finite check
+    a = np.zeros(graphs(1).n_vertices)
+    u = VertexFunction(graphs(1), a)
+    a[0] = np.nan
+    assert np.all(u.values == 0.0)
+    # and a cached level cannot be written into, so the levels extended
+    # from it stay harmonic
+    f = harmonic_family((1, 0, 0, 0))
+    with pytest.raises(ValueError, match="read-only"):
+        f(2).values[:] = 5.0
+    assert f(3).values.tobytes() == harmonize((1, 0, 0, 0), 3).values.tobytes()
+
+
 def test_boundary_must_be_four_numbers():
     # a string is one value, not four characters
     for boundary in ("1234", (1.0, 0.0, 0.0), None):
