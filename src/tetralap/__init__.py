@@ -8,6 +8,7 @@ from .fractal_graph import (
     CORNER_COORDS,
     LevelCapError,
     LevelGraph,
+    address_strings,
     build_level,
     canonicalize,
     embed_address,

@@ -3,9 +3,10 @@
 Every subcommand writes a deterministic document (JSON, CSV, OBJ or
 text) to --output or stdout, so repeated runs with the same flags are
 byte-identical.  The library returns data; this module alone turns it
-into text, every CSV document through _csv.  Exit codes: 0 ok, 2 usage,
-3 domain error (caps, invalid values), 4 I/O failure.  Relative
---output paths resolve against $TETRALAP_OUTDIR when it is set.
+into text, every JSON document through _json_text and every CSV
+document through _csv.  Exit codes: 0 ok, 2 usage, 3 domain error
+(caps, invalid values), 4 I/O failure.  Relative --output paths resolve
+against $TETRALAP_OUTDIR when it is set.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -22,6 +24,7 @@ import numpy as np
 from .fractal_graph import (
     Address,
     LevelCapError,
+    address_strings,
     build_level,
     graph_json,
     vertex_coords,
@@ -63,19 +66,80 @@ def _boundary(text: str):
         raise argparse.ArgumentTypeError(f"malformed boundary values: {text!r}")
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+#: Exact scalar types and the text json.dumps gives each (a float only when finite).
+_SCALAR_TEXT = {float: float.__repr__, int: int.__repr__, str: _quote}
+
+
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """The text of json.dumps with an indent of 2, and a newline, written a column at a time.
+
+    Dict keys must be str, as in every document here; any other key raises TypeError.
+    """
+    return _column([payload], "\n")[0] + "\n"
+
+
+def _column(items, nl: str) -> list[str]:
+    """The JSON text of each item; nl is the newline and indent its lines start with.
+
+    A column of one exact scalar type is converted in one map.  Two or more
+    dicts with the same keys, or lists and tuples of the same length, fill
+    one template from their per-key or per-position columns.  Every other
+    item is written on its own: containers by _container, leaves by json.dumps.
+    """
+    kinds = set(map(type, items))
+    if len(kinds) == 1:
+        convert = _SCALAR_TEXT.get(next(iter(kinds)))
+        if convert is not None and (kinds != {float} or all(map(math.isfinite, items))):
+            return list(map(convert, items))
+    inner = nl + "  "
+    if len(items) > 1 and kinds == {dict}:
+        keys = list(items[0])
+        if keys and all(map(keys.__eq__, map(list, items))):
+            template = _wrap("{", [_quote(k).replace("%", "%%") + ": %s" for k in keys], "}", nl)
+            columns = [_column([d[k] for d in items], inner) for k in keys]
+            return list(map(template.__mod__, zip(*columns)))
+    if len(items) > 1 and kinds <= {list, tuple}:
+        widths = set(map(len, items))
+        if len(widths) == 1 and 0 not in widths:
+            template = _wrap("[", ["%s"] * widths.pop(), "]", nl)
+            columns = [_column(c, inner) for c in zip(*items)]
+            return list(map(template.__mod__, zip(*columns)))
+    return [_container(x, nl) if isinstance(x, (dict, list, tuple)) else json.dumps(x)
+            for x in items]
+
+
+def _container(x, nl: str) -> str:
+    """The JSON text of one dict, list or tuple, its items converted as one column."""
+    if not x:
+        return "{}" if isinstance(x, dict) else "[]"
+    inner = nl + "  "
+    if isinstance(x, dict):
+        values = _column(list(x.values()), inner)
+        return _wrap("{", map(": ".join, zip(map(_quote, x), values)), "}", nl)
+    return _wrap("[", _column(list(x), inner), "]", nl)
+
+
+def _wrap(open_: str, parts, close: str, nl: str) -> str:
+    """A container's text from its item texts, one item per line, indented below nl."""
+    inner = nl + "  "
+    return open_ + inner + ("," + inner).join(parts) + nl + close
 
 
 def _lines_text(lines) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv(header: str, rows) -> str:
-    """CSV text: str fields as they are, every other field by repr, so floats round-trip."""
-    return _lines_text(
-        [header] + [",".join(f if isinstance(f, str) else repr(f) for f in row) for row in rows]
-    )
+def _csv(header: str, columns) -> str:
+    """CSV text from equal-length columns, each of one type: a str column as it
+    is, every other column by repr, so floats round-trip."""
+    text = [c if c and isinstance(c[0], str) else map(repr, c) for c in columns]
+    return _lines_text([header, *map(",".join, zip(*text))])
+
+
+def _table_csv(table) -> str:
+    return _csv(",".join(table.fields), [getattr(table, name).tolist() for name in table.COLUMNS])
 
 
 def _cmd_build_graph(args: argparse.Namespace) -> str:
@@ -90,7 +154,7 @@ def _cmd_build_graph(args: argparse.Namespace) -> str:
 
 def _cmd_harmonic(args: argparse.Namespace) -> str:
     u = harmonize(args.boundary, args.level)
-    addresses = [str(a) for a in u.graph.vertices]
+    addresses = address_strings(u.graph).tolist()
     values = u.values.tolist()
     if args.format == "json":
         return _json_text(
@@ -100,16 +164,13 @@ def _cmd_harmonic(args: argparse.Namespace) -> str:
                 "values": dict(zip(addresses, values)),
             }
         )
-    coords = vertex_coords(u.graph).tolist()
-    rows = ((a, *xyz, v) for a, xyz, v in zip(addresses, coords, values))
-    return _csv("address,x,y,z,value", rows)
+    return _csv("address,x,y,z,value", [addresses, *vertex_coords(u.graph).T.tolist(), values])
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> str:
     if args.format == "csv":
-        table = enumerate_spectrum(args.level)
-        return _csv(",".join(table.fields), table.rows())
-    # the table is freed before json.dumps runs
+        return _table_csv(enumerate_spectrum(args.level))
+    # the table is freed before the document is written
     return _json_text(spectrum_json(enumerate_spectrum(args.level)))
 
 
@@ -118,7 +179,7 @@ def _cmd_limit_spectrum(args: argparse.Namespace) -> str:
         raise ValueError("--fit is written only in the JSON format")
     limits = limit_spectrum(args.births, args.count)
     if args.format == "csv":
-        return _csv(",".join(limits.fields), limits.rows())
+        return _table_csv(limits)
     doc = limit_spectrum_json(limits)
     if args.fit:
         alpha, diag = weyl_fit(limits)
@@ -141,7 +202,7 @@ def _cmd_counting(args: argparse.Namespace) -> str:
     doc = counting_json(spectrum)
     if args.format == "json":
         return _json_text(doc)
-    return _csv("x,N", doc["points"])
+    return _csv("x,N", list(zip(*doc["points"])))
 
 
 def _cmd_laplacian_check(args: argparse.Namespace) -> str:
@@ -158,7 +219,8 @@ def _cmd_laplacian_check(args: argparse.Namespace) -> str:
     levels = range(args.level, top + 1)
     estimates = [pointwise_laplacian(u, x, m) for x in targets for m in levels]
     estimates.sort(key=lambda e: (e.level, str(e.vertex)))
-    return _csv("level,address,value", ((e.level, str(e.vertex), e.value) for e in estimates))
+    rows = ((e.level, str(e.vertex), e.value) for e in estimates)
+    return _csv("level,address,value", list(zip(*rows)))
 
 
 def _cmd_oracle_compare(args: argparse.Namespace) -> str:
@@ -174,7 +236,7 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> str:
         raise ValueError(
             f"oracle and decimation disagree: max |diff| {worst:.3e} > tol {ORACLE_TOL:.1e}"
         )
-    return _csv("level,index,oracle_eigenvalue,decimation_eigenvalue,abs_diff", rows)
+    return _csv("level,index,oracle_eigenvalue,decimation_eigenvalue,abs_diff", list(zip(*rows)))
 
 
 def _cmd_constants(args: argparse.Namespace) -> str:

@@ -25,16 +25,16 @@ import numpy as np
 from .fractal_graph import Address, LevelGraph, is_letter, level_graph, refine
 
 
-@dataclass
+@dataclass(frozen=True)
 class VertexFunction:
     """A real-valued function on the vertices of a level graph; it owns a
-    read-only copy of its values."""
+    read-only copy of its values, and neither attribute can be rebound."""
 
     graph: LevelGraph
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.array(self.values, dtype=float)
+        object.__setattr__(self, "values", np.array(self.values, dtype=float))
         self.values.flags.writeable = False
         if self.values.shape != (self.graph.n_vertices,):
             raise ValueError(

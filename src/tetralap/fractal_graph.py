@@ -136,10 +136,9 @@ class LevelGraph:
     @functools.cached_property
     def vertices(self) -> tuple[Address, ...]:
         """The canonical addresses, decoded from ``keys`` on first use."""
-        digits = self.keys[:, None] // 4 // 5 ** np.arange(self.level - 1, -1, -1) % 5
         return tuple(
             Address(tuple(d - 1 for d in row if d), base)
-            for row, base in zip(digits.tolist(), (self.keys % 4).tolist())
+            for row, base in zip(_word_digits(self).tolist(), (self.keys % 4).tolist())
         )
 
     @functools.cached_property
@@ -161,6 +160,11 @@ class LevelGraph:
         if not 0 <= v < len(self.keys):
             raise IndexError(f"vertex index {v} out of range for level {self.level}")
         return self.neighbor_idx[self.neighbor_ptr[v]:self.neighbor_ptr[v + 1]].tolist()
+
+
+def _word_digits(g: LevelGraph) -> np.ndarray:
+    """(N, m) word digits of the vertex keys: each letter plus 1, then 0s."""
+    return g.keys[:, None] // 4 // 5 ** np.arange(g.level - 1, -1, -1) % 5
 
 
 def _address_keys(digits: np.ndarray, base):
@@ -266,6 +270,19 @@ def vertex_coords(g: LevelGraph) -> np.ndarray:
     return x
 
 
+def address_strings(g: LevelGraph) -> np.ndarray:
+    """str(a) of every vertex a, in vertex order, spelled from the key digits
+    without building an Address."""
+    digits = _word_digits(g)
+    n, m = digits.shape
+    chars = np.zeros((n, m + 2), np.uint8)
+    chars[:, :m] = np.where(digits > 0, digits + (ord("0") - 1), 0)
+    rows, length = np.arange(n), np.count_nonzero(digits, axis=1)  # letters come first
+    chars[rows, length] = ord(":")
+    chars[rows, length + 1] = g.keys % 4 + ord("0")
+    return chars.view(f"S{m + 2}")[:, 0].astype(str)  # numpy strips the NULs
+
+
 def expected_vertex_count(m: int) -> int:
     """N_m = 2(4^m + 1), the closed form of N_0 = 4, N_m = 4 N_{m-1} - 6."""
     return 2 * (4 ** m + 1)
@@ -273,16 +290,12 @@ def expected_vertex_count(m: int) -> int:
 
 def graph_json(g: LevelGraph) -> dict:
     """JSON-ready structure: {level, vertices:[{id, word, base, xyz}], edges:[[i,j]]}."""
+    rows = zip(_word_digits(g).tolist(), (g.keys % 4).tolist(), vertex_coords(g).tolist())
     return {
         "level": g.level,
         "vertices": [
-            {
-                "id": i,
-                "word": list(a.word),
-                "base": a.base,
-                "xyz": xyz,
-            }
-            for i, (a, xyz) in enumerate(zip(g.vertices, vertex_coords(g).tolist()))
+            {"id": i, "word": [d - 1 for d in digits if d], "base": base, "xyz": xyz}
+            for i, (digits, base, xyz) in enumerate(rows)
         ],
         "edges": g.edges.tolist(),
     }

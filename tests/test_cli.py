@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import random
 import shlex
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from tetralap import decimation, fractal_graph, spectrum_from_json, enumerate_spectrum
-from tetralap.cli import OUTDIR_ENV, _parser, main
+from tetralap.cli import OUTDIR_ENV, _json_text, _parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -302,6 +303,8 @@ PINNED_DOCUMENTS = {
         "305968813fe4cf31dc7952c4f535be20427fe3b561d97d2eb63c3fa7deb6294c",
     "build-graph --level 5 --format json":
         "40294e5dde2e0b28e498b39760b8ad1d64113996e8bafcb42932efefa8ed0d9a",
+    "build-graph --level 7 --format json":
+        "d9584e35c9706e1a991d16843b47bfcae152c345924120c2152738c1743c9cae",
     "harmonic --boundary=-0.3,0.7,0.1,-0.9 --level 6 --format csv":
         "e15be08e9086ff8d553c49f73df74aef075d68d7de172a597a11244d5777b2ac",
     "harmonic --boundary=0.25,-1.5,0.1,0.9 --level 5 --format json":
@@ -314,6 +317,8 @@ PINNED_DOCUMENTS = {
         "41122c6bca20561b3a654db42cb19ec2870eb2bfab3944017639d85895d620e2",
     "spectrum --level 12 --format csv":
         "641d2d3311604a9aa7828fcf25eb4b53d68f30056ff0756fa7c08f9a0e4f0d89",
+    "spectrum --level 15":
+        "b8fe28c9fdbb5437c046c21c147220261dfe51a9a619a95feaa118f60a2bf85d",
     "limit-spectrum --births 12 --count 8191 --fit":
         "f3565c9e9de4bf59cde5fff362bfe08b1c45d30b5db263c5d127a6c282a587fa",
     "limit-spectrum --births 12 --count 8191 --format csv":
@@ -356,6 +361,23 @@ def test_pinned_document_digests(capsys, argv):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DOCUMENTS[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    "build-graph --level 3 --format json",
+    "harmonic --boundary=0.25,-1.5,0.1,0.9 --level 3 --format csv",
+    "harmonic --boundary=0.25,-1.5,0.1,0.9 --level 3 --format json",
+])
+def test_exports_never_decode_addresses(capsys, monkeypatch, argv):
+    _, want, _ = run_cli(capsys, *argv.split())
+
+    def refuse(graph):
+        raise AssertionError("the export decoded LevelGraph.vertices")
+
+    monkeypatch.setattr(fractal_graph.LevelGraph, "vertices", property(refuse))
+    code, got, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(got.encode()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
 
 
 def test_every_format_is_pinned():
@@ -409,3 +431,79 @@ def test_readme_library_sketch_runs():
     namespace = {}
     exec(block.split("```", 1)[0], namespace)
     assert namespace["table"].total_multiplicity == 126
+
+
+# --- the JSON writer --------------------------------------------------------
+# _json_text must equal json.dumps(payload, indent=2) + "\n" for every payload
+
+
+WRITER_CASES = [
+    {}, [], (), [[]], [{}], [(), ()], {"a": {}, "b": []},
+    (1, 2.5, "x"), [(1, 2), (3, 4)], [(1, 2), [3, 4]], {"window": (0.5, 2.0)},
+    [1], [[1]], [[1], [2]], [[[1, 2]]], {"one": [{"v": 1.0, "w": 2}]},
+    [{"a": 1, "b": 2.0}, {"a": 3, "b": 4.0}], [{"a": 1, "b": 2}, {"b": 3, "a": 4}],
+    [{"a": 1}, {"b": 1}], [{"a": 1}, {"a": 1, "b": 2}], [{}, {}],
+    [[1, 2], [3, 4]], [[1, 2], [3]], [[1, 2.0], [3, 4.0]], [[1, [2]], [3, [4, 5]]],
+    [float("nan"), float("inf"), -float("inf")], [1.0, float("nan")], [-float("inf")],
+    [-0.0, 1e16, 5e-324, 1e-7, 0.1, 1.7976931348623157e308], [2 ** 64, -(2 ** 100), 0],
+    [True, False, None], [1, True], [0.5, np.float64(0.5)], [np.float64(0.1), np.float64("nan")],
+    ["é", "\u2028", "\x00\x01\x1f", "\ud800", "tab\tnew\nline", 'q"uote\\', "😀"],
+    {"%s": 1, "100%": [2, 3], 'k"ey': "v%d", "é\n": None, "": 0},
+    [{"%": 1.0, "%%s": "%s"}, {"%": 2.0, "%%s": "%(a)d"}],
+    "a string", 3, 2.5, None, float("nan"), True,
+]
+
+
+@pytest.mark.parametrize("payload", WRITER_CASES)
+def test_json_writer_hand_picked(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+SPECIAL_SCALARS = [
+    0.0, -0.0, 1e16, 5e-324, float("nan"), float("inf"), -float("inf"), 2 ** 70, -1,
+    True, False, None, np.float64(0.25), "", "100%", "%s", 'a"b', "é\u2028\x07",
+]
+KEYS = ["a", "b", "value", "%", "%s", 'k"y', "é", "\n", ""]
+
+
+def _random_kind(rng, depth):
+    """A function giving values of one random kind: floats, ints, strs, special
+    scalars or nested payloads."""
+    return rng.choice([
+        lambda: rng.uniform(-1e6, 1e6),
+        lambda: rng.randint(-(2 ** 64), 2 ** 64),
+        lambda: "".join(rng.choice('ab%"\\é\n\x00😀') for _ in range(rng.randint(0, 4))),
+        lambda: rng.choice(SPECIAL_SCALARS),
+        lambda: _random_payload(rng, depth - 1),
+    ])
+
+
+def _random_payload(rng, depth):
+    if depth <= 0 or rng.random() < 0.2:
+        return rng.choice(SPECIAL_SCALARS + [rng.uniform(-1.0, 1.0), rng.randint(-9, 9)])
+    n, shape = rng.randint(0, 4), rng.randrange(5)
+    if shape == 0:  # a column of one kind
+        kind = _random_kind(rng, depth)
+        return [kind() for _ in range(n)]
+    if shape == 1:  # items of any kind
+        return [_random_payload(rng, depth - 1) for _ in range(n)]
+    if shape == 2:
+        return {rng.choice(KEYS): _random_payload(rng, depth - 1) for _ in range(n)}
+    if shape == 3:  # records: dicts with one key list, each key of one kind
+        kinds = {key: _random_kind(rng, depth) for key in rng.sample(KEYS, rng.randint(0, 3))}
+        return [{key: kind() for key, kind in kinds.items()} for _ in range(n)]
+    # rows: lists or tuples of one width, each position of one kind
+    kinds = [_random_kind(rng, depth) for _ in range(rng.randint(0, 3))]
+    return [rng.choice((list, tuple))(kind() for kind in kinds) for _ in range(n)]
+
+
+def test_json_writer_random_payloads():
+    rng = random.Random(20240915)
+    for _ in range(500):
+        payload = _random_payload(rng, 4)
+        assert _json_text(payload) == json.dumps(payload, indent=2) + "\n", payload
+
+
+def test_json_writer_refuses_non_str_keys():
+    with pytest.raises(TypeError):
+        _json_text({1: 2})

@@ -11,6 +11,8 @@ Core claims:
     - the cell extension commutes with corner permutations
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,16 @@ def test_vertex_function_owns_read_only_values(graphs):
     with pytest.raises(ValueError, match="read-only"):
         f(2).values[:] = 5.0
     assert f(3).values.tobytes() == harmonize((1, 0, 0, 0), 3).values.tobytes()
+
+
+def test_vertex_function_attributes_cannot_be_rebound(graphs):
+    # rebinding would skip the shape and finite checks of construction
+    u = VertexFunction(graphs(0), np.zeros(4))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        u.values = np.full(3, np.nan)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        u.graph = graphs(1)
+    assert u.values.shape == (4,) and u.graph is graphs(0)
 
 
 def test_boundary_must_be_four_numbers():

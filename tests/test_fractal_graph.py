@@ -17,6 +17,7 @@ import pytest
 from tetralap import (
     Address,
     LevelCapError,
+    address_strings,
     build_level,
     canonicalize,
     embed_address,
@@ -302,3 +303,20 @@ def test_graph_json_schema(graphs):
     first = doc["vertices"][0]
     assert set(first) == {"id", "word", "base", "xyz"}
     assert all(i < j for i, j in doc["edges"])
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_address_strings_match_str_address(graphs, m):
+    g = graphs(m)
+    assert address_strings(g).tolist() == [str(a) for a in g.vertices]
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_graph_json_words_and_bases_match_addresses(graphs, m):
+    g = graphs(m)
+    doc = graph_json(g)
+    assert [v["id"] for v in doc["vertices"]] == list(range(g.n_vertices))
+    assert [(v["word"], v["base"]) for v in doc["vertices"]] == [
+        (list(a.word), a.base) for a in g.vertices
+    ]
+    assert all(type(d) is int for v in doc["vertices"] for d in v["word"] + [v["base"]])
