@@ -35,6 +35,9 @@ class VertexFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.array(self.values, dtype=float))
+        self._seal()
+
+    def _seal(self):
         self.values.flags.writeable = False
         if self.values.shape != (self.graph.n_vertices,):
             raise ValueError(
@@ -50,6 +53,16 @@ class VertexFunction:
 
     def value_at(self, a: Address) -> float:
         return float(self.values[self.graph.index_of(a)])
+
+
+def _owning(graph: LevelGraph, values: np.ndarray) -> VertexFunction:
+    """VertexFunction(graph, values) without the copy, for a fresh float array
+    that nothing else holds; it is sealed and checked the same way."""
+    u = object.__new__(VertexFunction)
+    object.__setattr__(u, "graph", graph)
+    object.__setattr__(u, "values", values)
+    u._seal()
+    return u
 
 
 @dataclass(frozen=True)
@@ -71,8 +84,10 @@ def energy_bilinear(u: VertexFunction, v: VertexFunction) -> float:
     if u.graph is not v.graph and u.graph.level != v.graph.level:
         raise ValueError("energy_bilinear requires functions on the same graph")
     i, j = u.graph.edges.T
+    du = u.values[i] - u.values[j]
+    dv = du if v is u else v.values[i] - v.values[j]
     # np.sum is pairwise: bounded rounding
-    return float(np.sum((u.values[i] - u.values[j]) * (v.values[i] - v.values[j])))
+    return float(np.sum(du * dv))
 
 
 #: Eigenvalues that are born, not extended: no extension_cell reaches them.
@@ -118,7 +133,7 @@ def eigenfunction_extend(u: VertexFunction, lambda_m: float, *,
         )
     target = level_graph(u.graph.level + 1, target)
     midpoints = functools.partial(extension_cell, lambda_m)
-    return VertexFunction(target, refine(u.graph, target, u.values, midpoints))
+    return _owning(target, refine(u.graph, target, u.values, midpoints))
 
 
 def harmonize(boundary, m: int, *, graphs=None) -> VertexFunction:
@@ -167,4 +182,4 @@ def cell_restriction(u: VertexFunction, letter: int, target: LevelGraph | None =
     n = len(target.cells)
     vals = np.empty(target.n_vertices)
     vals[target.cells] = u.values[g.cells[letter * n:(letter + 1) * n]]
-    return VertexFunction(target, vals)
+    return _owning(target, vals)

@@ -39,9 +39,11 @@ CORNER_COORDS = np.array(
     ]
 )
 
-#: Default construction cap.  build_level peaks at 340-380 bytes per
-#: vertex (levels 8-10, each in a fresh process, by resource.getrusage),
-#: so N_11 = 8.4e6 vertices take about 3 GB and N_12 = 3.4e7 about 12 GB.
+#: Default construction cap.  build_level peaks at 297, 290 and 257 bytes
+#: per vertex at levels 8, 9 and 10 (each in a fresh process, by
+#: resource.getrusage, above the RSS after import), so N_11 = 8.4e6
+#: vertices take about 2.2 GB and N_12 = 3.4e7 about 8.6 GB, more than a
+#: 7 GB machine holds; level 12 needs below about 200 bytes per vertex.
 DEFAULT_LEVEL_CAP = 11
 
 
@@ -106,7 +108,7 @@ def canonicalize(a: Address) -> Address:
 class LevelGraph:
     """The graph on V_m, as read-only int arrays.
 
-    ``keys`` are the ascending _address_keys of the vertices, corners
+    ``keys`` are the ascending _address_key values of the vertices, corners
     first.  ``cells[k]`` holds the corners j = 0..3 of the cell with word
     ``cell_words[k]``; ``edges`` the sorted (i, j) pairs with i < j; and
     ``neighbor_idx[neighbor_ptr[v]:neighbor_ptr[v + 1]]`` the neighbors of v.
@@ -149,7 +151,7 @@ class LevelGraph:
         """Vertex index of an address (canonicalized first)."""
         c = canonicalize(a)
         if len(c.word) <= self.level:
-            key = _address_keys(np.array(c.word + (-1,) * (self.level - len(c.word))) + 1, c.base)
+            key = _address_key(c, self.level)
             v = int(np.searchsorted(self.keys, key))
             if v < len(self.keys) and self.keys[v] == key:
                 return v
@@ -167,13 +169,38 @@ def _word_digits(g: LevelGraph) -> np.ndarray:
     return g.keys[:, None] // 4 // 5 ** np.arange(g.level - 1, -1, -1) % 5
 
 
-def _address_keys(digits: np.ndarray, base):
-    """Int64 keys that sort canonical addresses as (word, base) tuples do: the
-    ``digits`` (each word letter plus 1, then 0s) read in base 5, then the base."""
-    key = np.zeros(np.shape(base), dtype=np.int64)
-    for i in range(digits.shape[-1]):
-        key = key * 5 + digits[..., i]
-    return key * 4 + base
+def _address_key(a: Address, m: int) -> int:
+    """The level-m key of a canonical address, which sorts as (word, base) tuples
+    do: each word letter plus 1, zero-padded to m digits, read in base 5, then
+    times 4 plus the base."""
+    key = 0
+    for letter in a.word:
+        key = key * 5 + letter + 1
+    return key * 5 ** (m - len(a.word)) * 4 + a.base
+
+
+def _four_copies(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending vertex keys and the product-order cells of level m.
+
+    V_k is the four copies f_i(V_{k-1}): f_i(W:b) = iW:b stays canonical
+    for a nonempty W and adds 4(i+1)5^(k-1) to the key, while the corner
+    i:b is P_i for b == i and else the junction min(i,b):max(i,b), kept in
+    the block of copy min(i,b).  So copy i's block is keys[i+1:] shifted,
+    the blocks follow the corners in key order, and the cells of word iW
+    are copy i's index map applied to the cells of W.
+    """
+    keys, cells = np.arange(4), np.arange(4)[None, :]
+    skip = np.arange(1, 5)  # copy i keeps level-(k-1) vertices i+1.. in its block
+    hi, lo = np.tril_indices(4, -1)
+    for k in range(1, m + 1):
+        sizes = len(keys) - skip
+        start = 4 + np.cumsum(sizes) - sizes
+        copy = (start - skip)[:, None] + np.arange(len(keys))
+        copy[hi, lo] = start[lo] + hi - lo - 1  # corner lo of copy hi is junction lo:hi
+        copy[LETTERS, LETTERS] = LETTERS  # corner i of copy i is P_i
+        keys = np.concatenate([keys[:4]] + [4 * 5 ** (k - 1) * (i + 1) + keys[i + 1:] for i in LETTERS])
+        cells = copy[:, cells].reshape(-1, 4)
+    return keys, cells
 
 
 def build_level(m: int) -> LevelGraph:
@@ -188,19 +215,7 @@ def build_level(m: int) -> LevelGraph:
     if m > DEFAULT_LEVEL_CAP:
         raise LevelCapError(f"level {m} exceeds cap {DEFAULT_LEVEL_CAP} (~{2 * 4 ** m} vertices)")
 
-    # canonicalize corner j of every cell at once: the cell words are the
-    # base-4 digits of their index, in product order
-    k = np.arange(4 ** m)[:, None]
-    words = ((k[..., None] >> 2 * np.arange(m - 1, -1, -1)) & 3).astype(np.uint8)
-    base = np.arange(4)
-    trailing = np.logical_and.accumulate(words[..., ::-1] == base[:, None], axis=2).sum(axis=2)
-    digits = np.where(np.arange(m) < (m - trailing)[..., None], words + 1, 0)
-    last = (k >> 2 * trailing) & 3  # last letter after the drop; 0 if none is left
-    swap = last > base
-    c, j = np.nonzero(swap)
-    digits[c, j, m - trailing[c, j] - 1] = j + 1
-    keys, inverse = np.unique(_address_keys(digits, np.where(swap, last, base)), return_inverse=True)
-    cells = inverse.reshape(-1, 4)
+    keys, cells = _four_copies(m)
 
     # cells share no edges, so the six corner pairs of every cell are the edge set
     n = len(keys)

@@ -8,6 +8,7 @@ Core claims:
     - V_{m-1} sits inside V_m as the shorter-word addresses
 """
 
+import hashlib
 import itertools
 from collections import Counter
 
@@ -221,7 +222,7 @@ def _reference_build(m):
     return list(index), words, cells, sorted(edges), [sorted(s) for s in adjacency]
 
 
-@pytest.mark.parametrize("m", range(6))
+@pytest.mark.parametrize("m", range(7))
 def test_array_tables_match_address_reference(graphs, m):
     vertices, words, cells, edges, adjacency = _reference_build(m)
     g = graphs(m)
@@ -233,6 +234,31 @@ def test_array_tables_match_address_reference(graphs, m):
     assert [g.index_of(a) for a in vertices] == list(range(len(vertices)))
     with pytest.raises(KeyError):
         g.index_of(Address((0,) * m + (1,), 2))  # born at level m + 1
+
+
+#: sha256 of the five LevelGraph tables' bytes, in field order, measured on the
+#: earlier build that canonicalized every cell corner and ran np.unique
+LEVEL_TABLE_DIGESTS = {
+    6: "81d643c88b7b5c9ba67007b42c16371c242ee0f5e40ba7aff4304413bb64f90d",
+    7: "250f9b5e3a863f7f11e51cf2fc9eac6de7c9c8f5489d43d991d3563aeeeedc07",
+    8: "08da06eabb85781e1c50430c8669400a10da322fd34b3bc502d905b7da4e4285",
+    9: "12b67317bc84e747d40f17980981eda2a7b0d021a70e01add2adc3c080aa4002",
+    10: "ecd893e7a3cafb971abbccf31345394e6b0d8beed41482647de46da28f582eff",
+}
+
+
+@pytest.mark.parametrize("m", sorted(LEVEL_TABLE_DIGESTS))
+def test_level_tables_are_pinned(m):
+    g = build_level(m)  # not the session fixture: level 10 holds 270 MB of tables
+    n, cells = expected_vertex_count(m), 4 ** m
+    shapes = {"keys": (n,), "cells": (cells, 4), "edges": (6 * cells, 2),
+              "neighbor_ptr": (n + 1,), "neighbor_idx": (12 * cells,)}
+    sha = hashlib.sha256()
+    for name, shape in shapes.items():
+        table = getattr(g, name)
+        assert (table.dtype, table.shape) == (np.int64, shape), name
+        sha.update(table.tobytes())
+    assert sha.hexdigest() == LEVEL_TABLE_DIGESTS[m]
 
 
 def test_address_string_round_trip():
