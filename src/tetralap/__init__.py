@@ -11,8 +11,6 @@ from .fractal_graph import (
     address_strings,
     build_level,
     canonicalize,
-    embed_address,
-    expected_vertex_count,
     graph_json,
     level_graph,
     vertex_coords,
@@ -36,7 +34,6 @@ from .laplacian import (
     interior_laplacian,
     normal_derivative,
     pointwise_laplacian,
-    spline_integral,
 )
 from .decimation import (
     DIMENSION_CONSTANTS,
@@ -51,14 +48,11 @@ from .decimation import (
     born_multiplicities,
     counting_json,
     counting_function,
-    decimate_down,
-    decimate_up,
     eigenfunction_family,
     enumerate_spectrum,
     limit_eigenvalue,
     limit_spectrum,
     limit_spectrum_json,
-    lineage_value,
     spectrum_from_json,
     spectrum_json,
     weyl_fit,
@@ -68,9 +62,7 @@ from .oracle import (
     EigenDecomposition,
     JacobiConvergenceError,
     assemble,
-    eigenvalue_multiset,
     jacobi_eigen,
-    kernel_dimension,
 )
 
 __version__ = "0.1.0"

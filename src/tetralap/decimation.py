@@ -37,7 +37,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fractal_graph import LevelCapError, LevelGraph, level_graph
+from .fractal_graph import LevelCapError, LevelGraph, is_integer, level_graph
 from .energy import FORBIDDEN_VALUES, ForbiddenEigenvalueError, VertexFunction, eigenfunction_extend
 from . import oracle as _oracle
 
@@ -60,6 +60,8 @@ class Lineage:
     branches: str = ""
 
     def __post_init__(self):
+        if not is_integer(self.birth_level):
+            raise TypeError(f"birth level must be an integer, got {self.birth_level!r}")
         if self.birth_value not in FORBIDDEN_VALUES:
             raise ValueError(f"birth value must be one of {FORBIDDEN_VALUES}")
         if self.birth_level < 1 or (self.birth_value == 2.0 and self.birth_level != 1):
@@ -220,22 +222,11 @@ class DimensionConstants:
 DIMENSION_CONSTANTS = DimensionConstants()
 
 
-def decimate_down(lam_m: float) -> float:
-    """Parent eigenvalue lam_{m-1} = lam_m (6 - lam_m)."""
-    return lam_m * (6.0 - lam_m)
-
-
 def _children(lam_prev, sqrt=math.sqrt):
     """The minus and plus children 3 -/+ sqrt(9 - lam) of a parent value lam
     <= 9, or of a column of them with sqrt=np.sqrt."""
     root = sqrt(9.0 - lam_prev)
     return lam_prev / (3.0 + root), 3.0 + root
-
-
-def _child(lam_prev: float, branch: str) -> float:
-    """The child of a parent value lam <= 9 on one branch."""
-    minus, plus = _children(lam_prev)
-    return minus if branch == MINUS else plus
 
 
 def _branches_after(lam: float) -> str:
@@ -247,21 +238,6 @@ def _branches_after(lam: float) -> str:
 
 #: The values _branches_after continues on PLUS only, for the column steps.
 _PLUS_ONLY = [v for v in FORBIDDEN_VALUES if MINUS not in _branches_after(v)]
-
-
-def decimate_up(lam_prev: float) -> tuple[float, float]:
-    """Both children (3 - sqrt(9 - lam), 3 + sqrt(9 - lam)) of a parent value."""
-    if lam_prev > 9.0:
-        raise ValueError(f"decimate_up needs lam <= 9, got {lam_prev}")
-    return _children(lam_prev)
-
-
-def lineage_value(lineage: Lineage) -> float:
-    """Eigenvalue at lineage.level, replayed from the birth value."""
-    lam = lineage.birth_value
-    for branch in lineage.branches:
-        lam = _child(lam, branch)
-    return lam
 
 
 def born_multiplicities(m: int) -> dict[int, int]:
@@ -488,7 +464,9 @@ def eigenfunction_family(
             raise ValueError(f"lineage starts at level {lineage.level}, got {m}")
         for k in range(max(cache), m):
             u, lam = cache[k]
-            lam = _child(lam, lineage.branches[k - birth:k - birth + 1] or _branches_after(lam)[0])
+            branch = lineage.branches[k - birth:k - birth + 1] or _branches_after(lam)[0]
+            minus, plus = _children(lam)
+            lam = minus if branch == MINUS else plus
             cache[k + 1] = (eigenfunction_extend(u, lam, target=lookup.get(k + 1)), lam)
         return cache[m][0]
 

@@ -51,11 +51,14 @@ class LevelCapError(RuntimeError):
     """Requested level exceeds the configured resource cap."""
 
 
+def is_integer(x) -> bool:
+    """Whether x is an integer, not a bool or a float (plain ints skip the ABC check)."""
+    return type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def is_letter(x) -> bool:
-    """Whether x is an integer in 0..3, not a bool or a float (plain ints skip the ABC check)."""
-    return x in LETTERS and (
-        type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
-    )
+    """Whether x is an integer in 0..3, not a bool or a float."""
+    return x in LETTERS and is_integer(x)
 
 
 @dataclass(frozen=True)
@@ -85,10 +88,6 @@ class Address:
         if not re.fullmatch(r"[0-3]*:[0-3]", text):
             raise ValueError(f"malformed address {text!r}; expected 'word:base'")
         return cls(tuple(int(c) for c in text[:-2]), int(text[-1]))
-
-    @property
-    def is_boundary(self) -> bool:
-        return not self.word
 
 
 def canonicalize(a: Address) -> Address:
@@ -262,21 +261,9 @@ def refine(parent: LevelGraph, target: LevelGraph, values: np.ndarray, midpoints
     return out
 
 
-def embed_address(a: Address) -> np.ndarray:
-    """3D position of a vertex, by composing the midpoint maps.
-
-    The computation commutes bitwise with canonicalization: both
-    rewrites (collapse and swap) leave the float arithmetic unchanged,
-    so equal addresses embed to identical coordinates.
-    """
-    x = CORNER_COORDS[a.base].copy()
-    for letter in reversed(a.word):
-        x = (x + CORNER_COORDS[letter]) / 2.0
-    return x
-
-
 def vertex_coords(g: LevelGraph) -> np.ndarray:
-    """(N, 3) positions of all vertices, equal bit for bit to embed_address of each."""
+    """(N, 3) positions of all vertices: each key digit d > 0, last letter first,
+    moves the base corner x to (x + P_{d-1}) / 2, the midpoint map f_{d-1}."""
     x = CORNER_COORDS[g.keys % 4]
     word = g.keys // 4
     for _ in range(g.level):  # the key's base-5 word digits, last letter first
@@ -296,11 +283,6 @@ def address_strings(g: LevelGraph) -> np.ndarray:
     chars[rows, length] = ord(":")
     chars[rows, length + 1] = g.keys % 4 + ord("0")
     return chars.view(f"S{m + 2}")[:, 0].astype(str)  # numpy strips the NULs
-
-
-def expected_vertex_count(m: int) -> int:
-    """N_m = 2(4^m + 1), the closed form of N_0 = 4, N_m = 4 N_{m-1} - 6."""
-    return 2 * (4 ** m + 1)
 
 
 def graph_json(g: LevelGraph) -> dict:

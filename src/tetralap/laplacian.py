@@ -32,15 +32,6 @@ class VertexEstimate:
     value: float
 
 
-def spline_integral(x: Address, m: int) -> float:
-    """Integral of the level-m harmonic bump at x: one 4^{-m}/4 slice per incident cell."""
-    x = canonicalize(x)
-    if len(x.word) > m:
-        raise ValueError(f"{x} is not a vertex of V_{m}")
-    incident = 1 if x.is_boundary else 2
-    return incident / 4.0 ** (m + 1)
-
-
 def _neighbor_sums(u: VertexFunction, start: int, stop: int) -> np.ndarray:
     """Sum of u(y) - u(x) over the neighbors y of each x in start..stop-1, a range
     of corners (3 neighbors each) or of interior vertices (6 each).  The

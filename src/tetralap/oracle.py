@@ -150,19 +150,3 @@ def jacobi_eigen(a: DirichletMatrix | np.ndarray) -> EigenDecomposition:
         sweeps=sweeps,
     )
 
-
-def kernel_dimension(a: DirichletMatrix | EigenDecomposition, lam: float) -> int:
-    """Multiplicity of lam: eigenvalues within CLUSTER_TOL of it."""
-    decomp = a if isinstance(a, EigenDecomposition) else jacobi_eigen(a)
-    return int(np.sum(np.abs(decomp.values - lam) < CLUSTER_TOL))
-
-
-def eigenvalue_multiset(decomp: EigenDecomposition):
-    """Clustered (value, multiplicity) pairs, ascending."""
-    out: list[tuple[float, int]] = []
-    for v in decomp.values:
-        if out and abs(v - out[-1][0]) < CLUSTER_TOL:
-            out[-1] = (out[-1][0], out[-1][1] + 1)
-        else:
-            out.append((float(v), 1))
-    return out

@@ -10,23 +10,23 @@ import time
 import numpy as np
 import pytest
 
+from multiset import eigenvalue_multiset
 from tetralap import (
     Address,
     VertexFunction,
     assemble,
+    born_eigenbasis,
     born_multiplicities,
     build_level,
     energy,
     energy_bilinear,
     enumerate_spectrum,
-    eigenvalue_multiset,
     gauss_green_residual,
     eigenfunction_extend,
     extension_cell,
     harmonic_family,
     interior_laplacian,
     jacobi_eigen,
-    kernel_dimension,
     limit_eigenvalue,
     limit_spectrum,
     eigenfunction_family,
@@ -134,8 +134,8 @@ def test_criterion_05_level2_spectrum(graphs, oracle_decomps):
 def test_criterion_06_level3_arbitration(graphs):
     t0 = time.perf_counter()
     decomp = jacobi_eigen(assemble(3, graph=graphs(3)))
-    k6 = kernel_dimension(decomp, 6.0)
-    k8 = kernel_dimension(decomp, 8.0)
+    k6 = len(born_eigenbasis(3, 6.0, graph=graphs(3), decomposition=decomp))
+    k8 = len(born_eigenbasis(3, 8.0, graph=graphs(3), decomposition=decomp))
     table = enumerate_spectrum(3)
     dec = _expand(table)
     dev = float(np.max(np.abs(decomp.values - dec)))

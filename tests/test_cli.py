@@ -431,6 +431,7 @@ def test_readme_library_sketch_runs():
     namespace = {}
     exec(block.split("```", 1)[0], namespace)
     assert namespace["table"].total_multiplicity == 126
+    assert namespace["born6"] == 18
 
 
 # --- the JSON writer --------------------------------------------------------

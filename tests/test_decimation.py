@@ -1,8 +1,8 @@
 """Spectral decimation: recursion, enumeration, limits, eigenfunctions.
 
 Core claims:
-    - the up/down maps invert each other and match the known algebraic
-      values (3 +- sqrt7, 3 +- sqrt3, 8 -> {2,4})
+    - every record value is its lineage replayed child by child, bit for
+      bit, and R(x) = x(6 - x) walks it back to its birth value
     - born multiplicities are {2:1, 6:3, 8:2}, {6:6, 8:14}, {6:18, 8:62}
     - every level's total multiplicity is 2(4^m - 1), values distinct
     - limit eigenvalues agree with an extended-precision iteration
@@ -13,6 +13,7 @@ Core claims:
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -31,15 +32,12 @@ from tetralap import (
     born_multiplicities,
     counting_function,
     counting_json,
-    decimate_down,
-    decimate_up,
     eigenfunction_extend,
     eigenfunction_family,
     enumerate_spectrum,
     interior_laplacian,
     limit_eigenvalue,
     limit_spectrum,
-    lineage_value,
     spectrum_from_json,
     spectrum_json,
     weyl_fit,
@@ -51,35 +49,19 @@ SQRT3 = math.sqrt(3.0)
 SQRT7 = math.sqrt(7.0)
 
 
-# --- the recursion -----------------------------------------------------------
+# --- a scalar replay of the recursion ---------------------------------------
 
 
-def test_decimate_down_known_values():
-    assert decimate_down(4.0) == 8.0
-    assert decimate_down(3.0 - SQRT3) == pytest.approx(6.0, abs=1e-12)
-    assert decimate_down(0.0) == 0.0
+def _child(lam, branch):
+    """The child of lam on one branch: lam/(3 + sqrt(9 - lam)) on minus,
+    3 + sqrt(9 - lam) on plus."""
+    root = math.sqrt(9.0 - lam)
+    return lam / (3.0 + root) if branch == "-" else 3.0 + root
 
 
-def test_decimate_up_known_values():
-    lo, hi = decimate_up(2.0)
-    assert lo == pytest.approx(3.0 - SQRT7, abs=1e-12)
-    assert hi == pytest.approx(3.0 + SQRT7, abs=1e-12)
-    assert decimate_up(0.0) == (0.0, 6.0)
-    assert decimate_up(8.0) == (2.0, 4.0)
-
-
-def test_decimate_up_down_round_trip():
-    rng = np.random.default_rng(31)
-    for lam in rng.uniform(0.0, 8.99, size=200):
-        lo, hi = decimate_up(lam)
-        assert decimate_down(lo) == pytest.approx(lam, rel=1e-12, abs=1e-12)
-        assert decimate_down(hi) == pytest.approx(lam, rel=1e-12, abs=1e-12)
-        assert lo < hi
-
-
-def test_decimate_up_domain():
-    with pytest.raises(ValueError):
-        decimate_up(9.5)
+def _replay(lineage):
+    """A lineage's value, walked one scalar child at a time from its birth value."""
+    return functools.reduce(_child, lineage.branches, lineage.birth_value)
 
 
 # --- multiplicities and enumeration ------------------------------------------
@@ -145,18 +127,18 @@ def test_values_in_range():
 def test_lineage_replay_consistency():
     # walking the lineage down reproduces each ancestor value
     for rec in enumerate_spectrum(4).records:
-        assert lineage_value(rec.lineage) == pytest.approx(rec.value, rel=1e-12)
+        assert _replay(rec.lineage) == pytest.approx(rec.value, rel=1e-12)
         lam = rec.value
         for _ in rec.lineage.branches:
-            lam = decimate_down(lam)
+            lam = lam * (6.0 - lam)
         assert lam == pytest.approx(rec.lineage.birth_value, rel=1e-10, abs=1e-10)
 
 
 def test_record_values_replay_their_lineages_exactly():
-    # the column step and lineage_value share one child formula, so the
-    # branch bookkeeping reproduces every value bit for bit
+    # the column step and the scalar replay take the same correctly rounded
+    # operations, so the branch bookkeeping reproduces every value bit for bit
     for rec in enumerate_spectrum(12).records:
-        assert rec.value == lineage_value(rec.lineage)
+        assert rec.value == _replay(rec.lineage)
 
 
 def test_spectrum_table_columns():
@@ -273,7 +255,7 @@ def test_lineage_branches_are_one_string():
     lineage = Lineage(1, 2.0).extended("-").extended("+")
     assert lineage.branches == "-+"
     assert lineage.level == 3
-    assert lineage_value(lineage) == decimate_up(decimate_up(2.0)[0])[1]
+    assert _replay(lineage) == _child(_child(2.0, "-"), "+")
 
 
 @pytest.mark.parametrize("birth_value,branches", [
@@ -289,6 +271,13 @@ def test_lineage_rejects_malformed_branches(birth_value, branches):
 def test_lineage_rejects_births_that_never_happen(birth_level, birth_value):
     # births start at level 1, and 2 is born at level 1 only
     with pytest.raises(ValueError, match="born at level"):
+        Lineage(birth_level, birth_value)
+
+
+@pytest.mark.parametrize("birth_level,birth_value", [(2.0, 8.0), (1.5, 6.0), (True, 2.0)])
+def test_lineage_rejects_birth_levels_that_are_not_integers(birth_level, birth_value):
+    # a float level would fail later, inside range(); True would pass as level 1
+    with pytest.raises(TypeError, match="birth level must be an integer"):
         Lineage(birth_level, birth_value)
 
 
@@ -358,7 +347,7 @@ def test_scaled_graph_values_approach_limit():
     lam, level = 2.0, 1
     prev_gap = lim - 2.0 * 6.0 ** level * lam
     for _ in range(6):
-        lam = decimate_up(lam)[0]
+        lam = _child(lam, "-")
         level += 1
         gap = lim - 2.0 * 6.0 ** level * lam
         assert 0.0 < gap < prev_gap
@@ -497,14 +486,14 @@ def test_extend_explicit_level1_eigenfunction(graphs):
     for (i, j) in CELL_MIDPOINT_PAIRS:
         values[g1.index_of(Address((i,), j))] = 1.0
     u = VertexFunction(g1, values)
-    lam2 = decimate_up(2.0)[0]
+    lam2 = _child(2.0, "-")
     ext = eigenfunction_extend(u, lam2, target=graphs(2))
     assert _residual(ext, lam2) < 1e-10 * np.max(np.abs(ext.values))
 
 
 def test_extend_zero_is_zero(graphs):
     u = VertexFunction.zeros(graphs(1))
-    ext = eigenfunction_extend(u, decimate_up(2.0)[0], target=graphs(2))
+    ext = eigenfunction_extend(u, _child(2.0, "-"), target=graphs(2))
     assert np.all(ext.values == 0.0)
 
 
@@ -548,9 +537,9 @@ def test_family_continues_on_the_minus_branch(graphs, oracle_decomps):
     lineage = Lineage(1, 6.0, "+")
     lookup = {m: graphs(m) for m in range(5)}
     family = eigenfunction_family(lineage, graphs=lookup, decompositions={1: oracle_decomps(1)})
-    u, lam = family(lineage.level), lineage_value(lineage)
+    u, lam = family(lineage.level), _replay(lineage)
     for k in (lineage.level + 1, lineage.level + 2):
-        lam = decimate_up(lam)[0]
+        lam = _child(lam, "-")
         u = eigenfunction_extend(u, lam, target=graphs(k))
     assert np.array_equal(family(lineage.level + 2).values, u.values)
 
@@ -564,7 +553,7 @@ def test_born_eight_family_continues_on_the_plus_branch(graphs, oracle_decomps):
     )
     for lineage in (Lineage(2, 8.0, "+"), Lineage(2, 8.0, "+-")):
         u = family(lineage.level)
-        assert _residual(u, lineage_value(lineage)) <= 1e-9 * np.max(np.abs(u.values))
+        assert _residual(u, _replay(lineage)) <= 1e-9 * np.max(np.abs(u.values))
 
 
 def test_born_eigenbasis_dimensions(graphs, oracle_decomps):

@@ -17,15 +17,27 @@ import pytest
 
 from tetralap import (
     Address,
+    CORNER_COORDS,
     LevelCapError,
     address_strings,
     build_level,
     canonicalize,
-    embed_address,
-    expected_vertex_count,
     graph_json,
     vertex_coords,
 )
+
+
+def embed_address(a: Address) -> np.ndarray:
+    """3D position of a vertex, by composing the midpoint maps.
+
+    The computation commutes bitwise with canonicalization: both
+    rewrites (collapse and swap) leave the float arithmetic unchanged,
+    so equal addresses embed to identical coordinates.
+    """
+    x = CORNER_COORDS[a.base].copy()
+    for letter in reversed(a.word):
+        x = (x + CORNER_COORDS[letter]) / 2.0
+    return x
 
 
 def test_vertex_counts_follow_recursion(graphs):
@@ -34,7 +46,7 @@ def test_vertex_counts_follow_recursion(graphs):
     for m in range(1, 7):
         assert counts[m] == 4 * counts[m - 1] - 6
     assert counts[:4] == [4, 10, 34, 130]
-    assert [expected_vertex_count(m) for m in range(7)] == counts
+    assert [2 * (4 ** m + 1) for m in range(7)] == counts
 
 
 def test_level1_shape(graphs):
@@ -250,7 +262,7 @@ LEVEL_TABLE_DIGESTS = {
 @pytest.mark.parametrize("m", sorted(LEVEL_TABLE_DIGESTS))
 def test_level_tables_are_pinned(m):
     g = build_level(m)  # not the session fixture: level 10 holds 270 MB of tables
-    n, cells = expected_vertex_count(m), 4 ** m
+    n, cells = 2 * (4 ** m + 1), 4 ** m
     shapes = {"keys": (n,), "cells": (cells, 4), "edges": (6 * cells, 2),
               "neighbor_ptr": (n + 1,), "neighbor_idx": (12 * cells,)}
     sha = hashlib.sha256()
@@ -277,8 +289,6 @@ def test_address_string_round_trip():
 
 
 def test_embed_level0_corners():
-    from tetralap import CORNER_COORDS
-
     assert np.array_equal(embed_address(Address((), 1)), CORNER_COORDS[1])
 
 
@@ -293,8 +303,6 @@ def test_embed_midpoint_relation_exact(graphs):
 def test_embed_level2_composition():
     a = Address((2, 0), 3)
     direct = embed_address(a)
-    from tetralap import CORNER_COORDS
-
     composed = (CORNER_COORDS[3] + CORNER_COORDS[0]) / 2.0
     composed = (composed + CORNER_COORDS[2]) / 2.0
     assert np.array_equal(direct, composed)

@@ -1,15 +1,11 @@
-"""Bump integrals, renormalized Laplacian, normal derivatives, Gauss-Green.
+"""Renormalized Laplacian, normal derivatives, Gauss-Green.
 
 Core claims:
-    - bump integrals are 2/4^{m+1} interior, 1/4^{m+1} at corners, and
-      tile to exactly 1
     - Delta_m reproduces the level-1 eigenvalue identities (2 and 8)
     - the summation-by-parts identity holds to rounding at every level
     - harmonic functions have level-independent boundary fluxes that
       sum to zero, and renormalized Laplacians that decay to zero
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -25,43 +21,7 @@ from tetralap import (
     interior_laplacian,
     normal_derivative,
     pointwise_laplacian,
-    spline_integral,
 )
-
-
-# --- bump integrals ----------------------------------------------------------
-
-
-def test_spline_integral_values():
-    assert spline_integral(Address((0,), 1), 1) == 2.0 / 16.0
-    assert spline_integral(Address((), 2), 1) == 1.0 / 16.0
-    # non-canonical spellings: (1,):1 and (1,1):1 are the corner P_1
-    assert spline_integral(Address((1,), 1), 1) == 1.0 / 16.0
-    assert spline_integral(Address((1, 1), 1), 1) == 1.0 / 16.0
-    assert spline_integral(Address((1, 0), 0), 1) == 2.0 / 16.0
-    for m in (1, 2, 3):
-        interior = spline_integral(Address((0,), 1), m)
-        assert interior == 2.0 / 4.0 ** (m + 1)
-
-
-def test_spline_integrals_tile_to_one(graphs):
-    for m in (1, 2, 3, 4):
-        g = graphs(m)
-        total = math.fsum(spline_integral(a, m) for a in g.vertices)
-        assert total == 1.0
-
-
-def test_spline_integral_per_cell_share():
-    # the four corner bumps of one cell split its measure evenly
-    m = 2
-    per_corner = 4.0 ** -m / 4.0
-    assert spline_integral(Address((), 0), m) == per_corner
-    assert spline_integral(Address((0, 1), 2), m) == 2 * per_corner
-
-
-def test_spline_integral_requires_membership():
-    with pytest.raises(ValueError):
-        spline_integral(Address((0, 1), 2), 1)
 
 
 # --- graph laplacian ---------------------------------------------------------

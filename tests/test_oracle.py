@@ -9,22 +9,27 @@ Core claims:
       settling the born-6 bookkeeping
     - sorted multisets from the oracle and from decimation agree at
       levels 1..3 within 1e-8
+    - det(A_m - xI) equals the decimation product of its factors mod a
+      prime at every x = 0..dim for levels 1..3, with no float and no
+      eigensolver
 """
 
+import functools
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from multiset import eigenvalue_multiset
 from tetralap import (
     JacobiConvergenceError,
     LevelCapError,
     assemble,
-    eigenvalue_multiset,
+    born_eigenbasis,
+    born_multiplicities,
     enumerate_spectrum,
     jacobi_eigen,
-    kernel_dimension,
 )
 from tetralap import oracle
 
@@ -202,24 +207,19 @@ def test_spectrum_inside_gershgorin(oracle_decomps):
         assert np.all(values < 12.0)
 
 
-def test_kernel_dimensions_level2(oracle_decomps):
-    decomp = oracle_decomps(2)
-    assert kernel_dimension(decomp, 2.0) == 0
-    assert kernel_dimension(decomp, 6.0) == 6
-    assert kernel_dimension(decomp, 8.0) == 14
+def test_kernel_dimensions_level2(graphs, oracle_decomps):
+    basis = functools.partial(born_eigenbasis, 2, graph=graphs(2), decomposition=oracle_decomps(2))
+    assert len(basis(2.0)) == 0
+    assert len(basis(6.0)) == 6
+    assert len(basis(8.0)) == 14
 
 
-def test_kernel_dimensions_level3_arbitrate_born6(oracle_decomps):
-    decomp = oracle_decomps(3)
+def test_kernel_dimensions_level3_arbitrate_born6(graphs, oracle_decomps):
+    basis = functools.partial(born_eigenbasis, 3, graph=graphs(3), decomposition=oracle_decomps(3))
     # 18 = 4^2 + 2; the alternative closed form 4^3 = 64 cannot fit in a
     # total multiplicity of 126
-    assert kernel_dimension(decomp, 6.0) == 18
-    assert kernel_dimension(decomp, 8.0) == 62
-
-
-def test_kernel_dimension_accepts_matrix(graphs):
-    a = assemble(1, graph=graphs(1))
-    assert kernel_dimension(a, 6.0) == 3
+    assert len(basis(6.0)) == 18
+    assert len(basis(8.0)) == 62
 
 
 def test_oracle_matches_decimation(oracle_decomps):
@@ -231,3 +231,55 @@ def test_oracle_matches_decimation(oracle_decomps):
         expanded.sort()
         assert len(expanded) == len(dense)
         assert np.max(np.abs(dense - np.array(expanded))) < 1e-8
+
+
+# --- the characteristic polynomial, exactly ----------------------------------
+
+PRIME = 1_000_003
+
+
+def _det_mod_p(entries, x):
+    """det(entries - xI) mod PRIME, by Gaussian elimination in int64: every
+    entry stays below PRIME, so each product stays below 2^63."""
+    a = (entries.astype(np.int64) - x * np.eye(len(entries), dtype=np.int64)) % PRIME
+    det = 1
+    for k in range(len(a)):
+        (rows,) = np.nonzero(a[k:, k])
+        if not len(rows):
+            return 0
+        if rows[0]:
+            a[[k, k + rows[0]]] = a[[k + rows[0], k]]
+            det = -det
+        pivot = int(a[k, k])
+        det = det * pivot % PRIME
+        factors = a[k + 1:, k] * pow(pivot, -1, PRIME) % PRIME
+        a[k + 1:, k:] = (a[k + 1:, k:] - factors[:, None] * a[k, k:]) % PRIME
+    return det
+
+
+def _decimation_det_mod_p(m, x):
+    """The decimation product, mod PRIME, with R(y) = y(6 - y):
+    (2 - R^(m-1)(x)) * prod_{k=1..m} (6 - R^(m-k)(x))^(born 6 at k)
+    * prod_{k=1..m-1} (4 - R^(m-k-1)(x))^(born 8 at k) * (8 - x)^(born 8 at m).
+    8 born at level k < m goes on as 4 = 3 + sqrt(9 - 8) only: its minus
+    child 2 is pruned, so no factor of 2 - R^(m-k-1)(x) is there."""
+    r = [x]  # r[j] = R^j(x) mod PRIME
+    for _ in range(m - 1):
+        r.append(r[-1] * (6 - r[-1]) % PRIME)
+    det = pow(2 - r[m - 1], born_multiplicities(1)[2], PRIME)
+    for k in range(1, m + 1):
+        born = born_multiplicities(k)
+        det = det * pow(6 - r[m - k], born[6], PRIME) % PRIME
+        stem = 4 - r[m - k - 1] if k < m else 8 - x
+        det = det * pow(stem, born[8], PRIME) % PRIME
+    return det
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_characteristic_polynomial_is_the_decimation_product(graphs, m):
+    # both sides are polynomials of degree dim in x, so agreeing at the
+    # dim + 1 points x = 0..dim makes them equal mod PRIME: every
+    # multiplicity and the branch rule, checked exactly
+    entries = assemble(m, graph=graphs(m)).entries
+    for x in range(len(entries) + 1):
+        assert _det_mod_p(entries, x) == _decimation_det_mod_p(m, x), x
