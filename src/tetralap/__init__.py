@@ -30,10 +30,9 @@ from .energy import (
 from .laplacian import (
     VertexEstimate,
     gauss_green_residual,
-    graph_laplacian,
     interior_laplacian,
     normal_derivative,
-    pointwise_laplacian,
+    renormalized_laplacian,
 )
 from .decimation import (
     DIMENSION_CONSTANTS,

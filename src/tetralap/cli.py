@@ -30,7 +30,7 @@ from .fractal_graph import (
     vertex_coords,
 )
 from .energy import harmonic_family, harmonize
-from .laplacian import pointwise_laplacian
+from .laplacian import renormalized_laplacian
 from .decimation import (
     DIMENSION_CONSTANTS,
     counting_json,
@@ -214,13 +214,19 @@ def _cmd_laplacian_check(args: argparse.Namespace) -> str:
     if top > cap:  # refused before any graph is built
         raise LevelCapError(f"--level + --depth is level {top}, above the graph cap {cap}")
     u = harmonic_family(args.boundary)
-    targets = ([Address.from_string(args.vertex)] if args.vertex is not None
-               else u(args.level).graph.vertices[4:])
+    x = None if args.vertex is None else Address.from_string(args.vertex)
+    g = u(args.level).graph
+    probes = np.array(g.interior if x is None else [g.index_of(x)])
+    if probes[0] in g.boundary:  # only a --vertex can name a corner
+        raise ValueError(f"graph Laplacian is defined on interior vertices only, got {x}")
+    names = address_strings(g)[probes]
+    order = np.argsort(names)  # the order of Python's str sort
+    probes, names = probes[order], names[order].tolist()
     levels = range(args.level, top + 1)
-    estimates = [pointwise_laplacian(u, x, m) for x in targets for m in levels]
-    estimates.sort(key=lambda e: (e.level, str(e.vertex)))
-    rows = ((e.level, str(e.vertex), e.value) for e in estimates)
-    return _csv("level,address,value", list(zip(*rows)))
+    values = [renormalized_laplacian(u(m))[u(m).graph.indices_of(g)[probes] - 4] for m in levels]
+    return _csv("level,address,value",
+                [np.repeat(levels, len(names)).tolist(), names * len(levels),
+                 np.concatenate(values).tolist()])
 
 
 def _cmd_oracle_compare(args: argparse.Namespace) -> str:

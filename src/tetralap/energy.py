@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractal_graph import Address, LevelGraph, is_letter, level_graph, refine
+from .fractal_graph import LevelGraph, is_letter, level_graph, refine
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,6 @@ class VertexFunction:
     @classmethod
     def zeros(cls, graph: LevelGraph) -> "VertexFunction":
         return cls(graph, np.zeros(graph.n_vertices))
-
-    def value_at(self, a: Address) -> float:
-        return float(self.values[self.graph.index_of(a)])
 
 
 def _owning(graph: LevelGraph, values: np.ndarray) -> VertexFunction:

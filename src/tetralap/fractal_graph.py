@@ -12,8 +12,6 @@ construction is exact at any depth.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import numbers
 import re
@@ -108,8 +106,9 @@ class LevelGraph:
     """The graph on V_m, as read-only int arrays.
 
     ``keys`` are the ascending _address_key values of the vertices, corners
-    first.  ``cells[k]`` holds the corners j = 0..3 of the cell with word
-    ``cell_words[k]``; ``edges`` the sorted (i, j) pairs with i < j; and
+    first.  ``cells[k]`` holds the corners j = 0..3 of the cell whose word is
+    the k-th word of length m in product order; ``edges`` the sorted (i, j)
+    pairs with i < j; and
     ``neighbor_idx[neighbor_ptr[v]:neighbor_ptr[v + 1]]`` the neighbors of v.
     """
 
@@ -134,18 +133,6 @@ class LevelGraph:
         """Indices of V_m minus the four corners (boundary comes first)."""
         return range(4, len(self.keys))
 
-    @functools.cached_property
-    def vertices(self) -> tuple[Address, ...]:
-        """The canonical addresses, decoded from ``keys`` on first use."""
-        return tuple(
-            Address(tuple(d - 1 for d in row if d), base)
-            for row, base in zip(_word_digits(self).tolist(), (self.keys % 4).tolist())
-        )
-
-    @functools.cached_property
-    def cell_words(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(itertools.product(LETTERS, repeat=self.level))
-
     def index_of(self, a: Address) -> int:
         """Vertex index of an address (canonicalized first)."""
         c = canonicalize(a)
@@ -155,6 +142,15 @@ class LevelGraph:
             if v < len(self.keys) and self.keys[v] == key:
                 return v
         raise KeyError(f"{a} is not a vertex of the level-{self.level} graph")
+
+    def indices_of(self, coarse: LevelGraph) -> np.ndarray:
+        """Index in this graph of every vertex of a graph of no higher level, in
+        that graph's vertex order: a key's word, padded with zero digits to this
+        level, is the same vertex's key here."""
+        if coarse.level > self.level:
+            raise ValueError(f"a level-{coarse.level} graph is not inside level {self.level}")
+        shift = 5 ** (self.level - coarse.level)
+        return np.searchsorted(self.keys, coarse.keys // 4 * shift * 4 + coarse.keys % 4)
 
     def neighbors(self, v: int) -> list[int]:
         """Adjacent vertex indices: 6 for interior, 3 for boundary (m >= 1)."""

@@ -24,8 +24,7 @@ from .energy import VertexFunction, energy_bilinear
 
 @dataclass(frozen=True)
 class VertexEstimate:
-    """A level-``level`` estimate at a vertex: a pointwise Laplacian or a
-    normal derivative."""
+    """A level-``level`` normal-derivative estimate at a vertex."""
 
     level: int
     vertex: Address
@@ -42,17 +41,16 @@ def _neighbor_sums(u: VertexFunction, start: int, stop: int) -> np.ndarray:
     return np.sum(u.values[rows] - u.values[start:stop, None], axis=1)
 
 
-def graph_laplacian(u: VertexFunction, x: Address) -> float:
-    """Delta_m u at an interior vertex: sum of u(y) - u(x) over the 6 neighbors."""
-    idx = u.graph.index_of(x)
-    if idx in u.graph.boundary:
-        raise ValueError(f"graph Laplacian is defined on interior vertices only, got {x}")
-    return float(_neighbor_sums(u, idx, idx + 1)[0])
-
-
 def interior_laplacian(u: VertexFunction) -> np.ndarray:
     """Delta_m u over all interior vertices, aligned with graph.interior order."""
     return _neighbor_sums(u, 4, u.graph.n_vertices)
+
+
+def renormalized_laplacian(u: VertexFunction) -> np.ndarray:
+    """2 * 6^m * Delta_m u over all interior vertices, aligned with graph.interior
+    order.  It converges only for functions with a continuous Laplacian; callers
+    should inspect a profile across levels rather than trust a single m."""
+    return 2.0 * 6.0 ** u.graph.level * interior_laplacian(u)
 
 
 def _at_level(u_source, m: int) -> VertexFunction:
@@ -63,22 +61,9 @@ def _at_level(u_source, m: int) -> VertexFunction:
     return u
 
 
-def pointwise_laplacian(u_source, x: Address, m: int) -> VertexEstimate:
-    """Renormalized estimate 2 * 6^m * Delta_m u(x).
-
-    ``u_source`` maps a level to the VertexFunction of one function
-    restricted to that level (see harmonic_family, eigenfunction_family).
-    The estimate converges only for functions with a continuous
-    Laplacian; callers should inspect a profile across levels rather
-    than trust a single m.
-    """
-    u = _at_level(u_source, m)
-    value = 2.0 * 6.0 ** m * graph_laplacian(u, x)
-    return VertexEstimate(level=m, vertex=canonicalize(x), value=value)
-
-
 def normal_derivative(u_source, x: Address, k: int) -> VertexEstimate:
-    """Boundary-flux estimate (3/2)^k * sum over level-k neighbors of u(x) - u(y)."""
+    """Boundary-flux estimate (3/2)^k * sum over level-k neighbors of u(x) - u(y);
+    ``u_source`` maps a level to a VertexFunction (harmonic_family, eigenfunction_family)."""
     u = _at_level(u_source, k)
     idx = u.graph.index_of(x)
     flux = -float(_neighbor_sums(u, idx, idx + 1)[0])

@@ -345,6 +345,8 @@ PINNED_DOCUMENTS = {
         "55dd53bdf7af812a6291ef5e32d00bba2f6304a77afaa63709ded30ccc0ff0e2",
     "laplacian-check --vertex 0:1 --level 1 --depth 4":
         "4d6c11b1317f4f740e1965e791f7fd04ba0dc81e6642347ec14642a5c2b3f9f4",
+    "laplacian-check --level 5 --depth 3":
+        "9d8c7973e88a721de4debaf02e0003012b4ac36bc61ca0b52852f9dad97e7ad8",
     "oracle-compare --level 2":
         "bc8ece0799c8185d26dfd74ed15d60adc7d565de89e8027cdfced753946e70f9",
     "oracle-compare --level 3":
@@ -367,14 +369,15 @@ def test_pinned_document_digests(capsys, argv):
     "build-graph --level 3 --format json",
     "harmonic --boundary=0.25,-1.5,0.1,0.9 --level 3 --format csv",
     "harmonic --boundary=0.25,-1.5,0.1,0.9 --level 3 --format json",
+    "laplacian-check --level 2 --depth 2",
 ])
 def test_exports_never_decode_addresses(capsys, monkeypatch, argv):
     _, want, _ = run_cli(capsys, *argv.split())
 
-    def refuse(graph):
-        raise AssertionError("the export decoded LevelGraph.vertices")
+    def refuse(address):
+        raise AssertionError("the export built an Address")
 
-    monkeypatch.setattr(fractal_graph.LevelGraph, "vertices", property(refuse))
+    monkeypatch.setattr(fractal_graph.Address, "__post_init__", refuse)
     code, got, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(got.encode()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
@@ -401,6 +404,24 @@ def test_unknown_vertex_exit_code(capsys):
     )
     assert code == 3
     assert "not a vertex" in json.loads(err)["error"]["message"]
+
+
+def test_laplacian_check_refuses_a_corner(capsys):
+    code, out, err = run_cli(capsys, "laplacian-check", "--level", "2", "--vertex", "0:0")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"]["message"] == (
+        "graph Laplacian is defined on interior vertices only, got 0:0"
+    )
+
+
+def test_laplacian_check_canonicalizes_the_vertex(capsys):
+    # 1:0 and 0:1 spell the midpoint of P_0 and P_1
+    argv = ["laplacian-check", "--level", "2", "--depth", "2", "--vertex"]
+    code, spelled, _ = run_cli(capsys, *argv, "1:0")
+    assert code == 0
+    assert spelled.encode() == run_cli(capsys, *argv, "0:1")[1].encode()
+    assert spelled.splitlines()[1].startswith("2,0:1,")
 
 
 def test_io_error_exit_code(tmp_path, capsys):

@@ -29,6 +29,7 @@ from tetralap import (
     harmonize,
 )
 from tetralap import fractal_graph
+from test_fractal_graph import _reference_build
 
 # critical-point system of the one-cell minimization, used as the
 # independent oracle for the closed form
@@ -139,8 +140,8 @@ def test_extension_agrees_on_old_vertices(graphs):
     rng = np.random.default_rng(5)
     u = VertexFunction(graphs(1), rng.normal(size=10))
     ext = eigenfunction_extend(u, 0.0, target=graphs(2))
-    for a in graphs(1).vertices:
-        assert ext.value_at(a) == u.value_at(a)
+    for a in _reference_build(1)[0]:
+        assert ext.values[graphs(2).index_of(a)] == u.values[graphs(1).index_of(a)]
 
 
 def test_extension_minimizes_energy(graphs):
@@ -149,7 +150,7 @@ def test_extension_minimizes_energy(graphs):
         base = VertexFunction(graphs(m - 1), rng.normal(size=graphs(m - 1).n_vertices))
         ext = eigenfunction_extend(base, 0.0, target=graphs(m))
         e0 = energy(ext).raw
-        old = {graphs(m).index_of(a) for a in graphs(m - 1).vertices}
+        old = {graphs(m).index_of(a) for a in _reference_build(m - 1)[0]}
         new = [v for v in range(graphs(m).n_vertices) if v not in old]
         for _ in range(100):
             delta = np.zeros(graphs(m).n_vertices)
@@ -170,7 +171,7 @@ def test_normalized_energy_constant_for_harmonic(graphs):
 
 def test_harmonize_figure_caption_case(graphs):
     u = harmonize((0, 2, 0, 2), 1, graphs={0: graphs(0), 1: graphs(1)})
-    mids = [u.value_at(Address((i,), j)) for i, j in CELL_MIDPOINT_PAIRS]
+    mids = [u.values[u.graph.index_of(Address((i,), j))] for i, j in CELL_MIDPOINT_PAIRS]
     assert mids == [1.0, 1.0, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.0]
 
 

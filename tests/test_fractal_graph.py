@@ -180,20 +180,20 @@ def test_trailing_collapse():
 def test_canonical_addresses_biject_with_points(graphs):
     for m in range(5):
         g = graphs(m)
-        points = {tuple(np.round(embed_address(a), 12)) for a in g.vertices}
+        points = {tuple(np.round(embed_address(a), 12)) for a in _reference_build(m)[0]}
         assert len(points) == g.n_vertices
 
 
 def test_vertex_sets_nest(graphs):
     for m in range(1, 5):
-        small = set(graphs(m - 1).vertices)
-        large = {a for a in graphs(m).vertices if len(a.word) < m}
+        small = {graphs(m).index_of(a) for a in _reference_build(m - 1)[0]}
+        large = {graphs(m).index_of(a) for a in _reference_build(m)[0] if len(a.word) < m}
         assert small == large
 
 
 def test_vertex_order_deterministic(graphs):
     g1, g2 = graphs(2), build_level(2)
-    assert g1.vertices == g2.vertices
+    assert np.array_equal(g1.keys, g2.keys)
     assert np.array_equal(g1.cells, g2.cells)
 
 
@@ -238,14 +238,24 @@ def _reference_build(m):
 def test_array_tables_match_address_reference(graphs, m):
     vertices, words, cells, edges, adjacency = _reference_build(m)
     g = graphs(m)
-    assert list(g.vertices) == vertices
-    assert list(g.cell_words) == words
+    assert address_strings(g).tolist() == list(map(str, vertices))
     assert g.cells.tolist() == cells
     assert list(map(tuple, g.edges.tolist())) == edges
     assert [g.neighbors(v) for v in range(g.n_vertices)] == adjacency
     assert [g.index_of(a) for a in vertices] == list(range(len(vertices)))
     with pytest.raises(KeyError):
         g.index_of(Address((0,) * m + (1,), 2))  # born at level m + 1
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_indices_of_matches_index_of(graphs, m):
+    g = graphs(m)
+    for level in range(m):
+        coarse = _reference_build(level)[0]
+        assert g.indices_of(graphs(level)).tolist() == [g.index_of(a) for a in coarse]
+    assert g.indices_of(g).tolist() == list(range(g.n_vertices))
+    with pytest.raises(ValueError):
+        graphs(m - 1).indices_of(g)
 
 
 #: sha256 of the five LevelGraph tables' bytes, in field order, measured on the
@@ -311,15 +321,16 @@ def test_embed_level2_composition():
 @pytest.mark.parametrize("m", range(6))
 def test_vertex_coords_match_embed_address(graphs, m):
     g = graphs(m)
-    reference = np.array([embed_address(a) for a in g.vertices])
+    reference = np.array([embed_address(a) for a in _reference_build(m)[0]])
     assert vertex_coords(g).shape == (g.n_vertices, 3)
     assert np.array_equal(vertex_coords(g), reference)
 
 
 def test_cell_midpoint_relation_all_edges(graphs):
     g = graphs(2)
-    for word, cell in zip(g.cell_words, g.cells):
-        coords = [embed_address(g.vertices[v]) for v in cell]
+    vertices, words = _reference_build(2)[:2]
+    for word, cell in zip(words, g.cells):
+        coords = [embed_address(vertices[v]) for v in cell]
         for i in range(4):
             for j in range(i + 1, 4):
                 mid = embed_address(Address(word + (i,), j))
@@ -342,7 +353,7 @@ def test_graph_json_schema(graphs):
 @pytest.mark.parametrize("m", range(8))
 def test_address_strings_match_str_address(graphs, m):
     g = graphs(m)
-    assert address_strings(g).tolist() == [str(a) for a in g.vertices]
+    assert address_strings(g).tolist() == [str(a) for a in _reference_build(m)[0]]
 
 
 @pytest.mark.parametrize("m", range(5))
@@ -351,6 +362,6 @@ def test_graph_json_words_and_bases_match_addresses(graphs, m):
     doc = graph_json(g)
     assert [v["id"] for v in doc["vertices"]] == list(range(g.n_vertices))
     assert [(v["word"], v["base"]) for v in doc["vertices"]] == [
-        (list(a.word), a.base) for a in g.vertices
+        (list(a.word), a.base) for a in _reference_build(m)[0]
     ]
     assert all(type(d) is int for v in doc["vertices"] for d in v["word"] + [v["base"]])

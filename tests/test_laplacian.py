@@ -15,12 +15,11 @@ from tetralap import (
     VertexFunction,
     energy_bilinear,
     gauss_green_residual,
-    graph_laplacian,
     harmonic_family,
     harmonize,
     interior_laplacian,
     normal_derivative,
-    pointwise_laplacian,
+    renormalized_laplacian,
 )
 
 
@@ -30,8 +29,7 @@ from tetralap import (
 def test_laplacian_of_constant(graphs):
     g = graphs(2)
     u = VertexFunction(g, np.full(g.n_vertices, 3.3))
-    for v in g.interior:
-        assert graph_laplacian(u, g.vertices[v]) == 0.0
+    assert np.all(interior_laplacian(u) == 0.0)
 
 
 def test_level1_eigenvalue_two(graphs):
@@ -39,8 +37,7 @@ def test_level1_eigenvalue_two(graphs):
     values = np.zeros(g.n_vertices)
     values[4:] = 1.0
     u = VertexFunction(g, values)
-    for v in g.interior:
-        assert graph_laplacian(u, g.vertices[v]) == -2.0
+    assert np.all(interior_laplacian(u) == -2.0)
 
 
 def test_level1_eigenvalue_eight(graphs):
@@ -51,16 +48,7 @@ def test_level1_eigenvalue_eight(graphs):
     for (i, j), val in zip(CELL_MIDPOINT_PAIRS, (1.0, -1.0, 0.0, -1.0, 0.0, 1.0)):
         values[g.index_of(Address((i,), j))] = val
     u = VertexFunction(g, values)
-    for v in g.interior:
-        a = g.vertices[v]
-        assert -graph_laplacian(u, a) == pytest.approx(8.0 * u.value_at(a), abs=1e-14)
-
-
-def test_laplacian_rejects_boundary(graphs):
-    g = graphs(1)
-    u = VertexFunction.zeros(g)
-    with pytest.raises(ValueError):
-        graph_laplacian(u, Address((), 0))
+    assert -interior_laplacian(u) == pytest.approx(8.0 * u.values[4:], abs=1e-14)
 
 
 def test_laplacian_linearity(graphs):
@@ -69,9 +57,9 @@ def test_laplacian_linearity(graphs):
     u = VertexFunction(g, rng.normal(size=g.n_vertices))
     v = VertexFunction(g, rng.normal(size=g.n_vertices))
     combo = VertexFunction(g, 2.5 * u.values - 1.5 * v.values)
-    x = g.vertices[17]
-    assert graph_laplacian(combo, x) == pytest.approx(
-        2.5 * graph_laplacian(u, x) - 1.5 * graph_laplacian(v, x), rel=1e-12
+    x = 17 - 4  # vertex 17 in interior order
+    assert interior_laplacian(combo)[x] == pytest.approx(
+        2.5 * interior_laplacian(u)[x] - 1.5 * interior_laplacian(v)[x], rel=1e-12
     )
 
 
@@ -85,11 +73,14 @@ def test_interior_laplacian_alignment(graphs, m):
     u = VertexFunction(g, signs * 10.0 ** rng.uniform(-5.0, 5.0, size=g.n_vertices))
     vec = interior_laplacian(u)
     for k, v in enumerate(g.interior):
-        assert vec[k] == graph_laplacian(u, g.vertices[v])
         assert vec[k] == np.sum(u.values[g.neighbors(v)] - u.values[v])
+    # the renormalized column is the per-vertex 2 * 6^m * Delta_m u(x), bit for bit
+    assert renormalized_laplacian(u).tobytes() == np.array(
+        [2.0 * 6.0 ** m * float(vec[k]) for k in range(len(vec))]
+    ).tobytes()
     for b in g.boundary:
         flux = np.sum(u.values[b] - u.values[g.neighbors(b)])
-        assert normal_derivative(lambda k: u, g.vertices[b], m).value == 1.5 ** m * flux
+        assert normal_derivative(lambda k: u, Address((), b), m).value == 1.5 ** m * flux
 
 
 # --- pointwise estimates -----------------------------------------------------
@@ -100,22 +91,17 @@ def test_pointwise_laplacian_harmonic_is_negligible(graphs):
     # the 2*6^m amplification the estimates stay far below any signal
     fam = harmonic_family((1, 0, 0, 0))
     x = Address((0,), 1)
-    estimates = [pointwise_laplacian(fam, x, m) for m in range(1, 6)]
-    assert all(abs(e.value) < 1e-9 for e in estimates)
+    for m in range(1, 6):
+        u = fam(m)
+        assert abs(renormalized_laplacian(u)[u.graph.index_of(x) - 4]) < 1e-9
 
 
 def test_pointwise_laplacian_constant_zero(graphs):
     fam = harmonic_family((5, 5, 5, 5))
     for m in (1, 2, 3):
-        est = pointwise_laplacian(fam, Address((0,), 1), m)
-        assert est.value == 0.0
-        assert est.level == m
-
-
-def test_pointwise_laplacian_requires_membership():
-    fam = harmonic_family((1, 0, 0, 0))
-    with pytest.raises(KeyError):
-        pointwise_laplacian(fam, Address((0, 1), 2), 1)
+        u = fam(m)
+        assert renormalized_laplacian(u)[u.graph.index_of(Address((0,), 1)) - 4] == 0.0
+        assert u.graph.level == m
 
 
 # --- normal derivatives ------------------------------------------------------
@@ -162,8 +148,6 @@ def test_normal_derivative_rejects_wrong_level_source():
     u7 = harmonize((1, 0, 0, 0), 7)
     with pytest.raises(ValueError):
         normal_derivative(lambda k: u7, Address((), 0), 3)
-    with pytest.raises(ValueError):
-        pointwise_laplacian(lambda k: u7, Address((0,), 1), 3)
     assert normal_derivative(lambda k: u7, Address((), 0), 7).value == pytest.approx(3.0)
 
 

@@ -10,8 +10,8 @@ Core claims:
     - sorted multisets from the oracle and from decimation agree at
       levels 1..3 within 1e-8
     - det(A_m - xI) equals the decimation product of its factors mod a
-      prime at every x = 0..dim for levels 1..3, with no float and no
-      eigensolver
+      prime at every x = 0..dim for levels 1..3 and at four seeded x at
+      level 4, with no float and no eigensolver
 """
 
 import functools
@@ -275,11 +275,16 @@ def _decimation_det_mod_p(m, x):
     return det
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_characteristic_polynomial_is_the_decimation_product(graphs, m):
     # both sides are polynomials of degree dim in x, so agreeing at the
     # dim + 1 points x = 0..dim makes them equal mod PRIME: every
-    # multiplicity and the branch rule, checked exactly
+    # multiplicity and the branch rule, checked exactly.  At level 4 that
+    # is 511 eliminations of a 510 x 510 matrix, so four seeded points
+    # stand in: two different polynomials of degree 510 agree at a
+    # random point with probability at most 510 / PRIME
     entries = assemble(m, graph=graphs(m)).entries
-    for x in range(len(entries) + 1):
+    points = (range(len(entries) + 1) if m <= 3
+              else np.random.default_rng(4).integers(0, PRIME, size=4).tolist())
+    for x in points:
         assert _det_mod_p(entries, x) == _decimation_det_mod_p(m, x), x

@@ -25,16 +25,18 @@ from tetralap import (
     extension_cell,
     harmonize,
 )
+from test_fractal_graph import _reference_build
 
 LEVELS = range(0, 5)
 
 
 def _reference_extend(u, target, midpoints):
     g = u.graph
+    vertices, words = _reference_build(g.level)[:2]
     vals = np.full(target.n_vertices, np.nan)
-    for a, x in zip(g.vertices, u.values):
+    for a, x in zip(vertices, u.values):
         vals[target.index_of(a)] = x
-    for word, cell in zip(g.cell_words, g.cells):
+    for word, cell in zip(words, g.cells):
         mids = midpoints(*u.values[list(cell)])
         for (i, j), x in zip(CELL_MIDPOINT_PAIRS, mids):
             vals[target.index_of(Address(word + (i,), j))] = x
@@ -82,7 +84,8 @@ def test_cell_restriction_matches_address_reference(graphs, m):
     for letter in range(4):
         sub = cell_restriction(u, letter, target=target)
         ref = np.array(
-            [u.values[g.index_of(Address((letter,) + a.word, a.base))] for a in target.vertices]
+            [u.values[g.index_of(Address((letter,) + a.word, a.base))]
+             for a in _reference_build(m)[0]]
         )
         assert sub.values.tobytes() == ref.tobytes()
 
