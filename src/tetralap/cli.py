@@ -15,9 +15,11 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import os
 import re
 import sys
+from itertools import zip_longest
 
 import numpy as np
 
@@ -84,9 +86,10 @@ def _column(items, nl: str) -> list[str]:
     """The JSON text of each item; nl is the newline and indent its lines start with.
 
     A column of one exact scalar type is converted in one map.  Two or more
-    dicts with the same keys, or lists and tuples of the same length, fill
-    one template from their per-key or per-position columns.  Every other
-    item is written on its own: containers by _container, leaves by json.dumps.
+    dicts with the same keys fill one template from their per-key columns;
+    two or more lists and tuples, not all empty, fill one template per
+    length from their per-position columns.  Every other item is written
+    on its own: containers by _container, leaves by json.dumps.
     """
     kinds = set(map(type, items))
     if len(kinds) == 1:
@@ -100,12 +103,14 @@ def _column(items, nl: str) -> list[str]:
             template = _wrap("{", [_quote(k).replace("%", "%%") + ": %s" for k in keys], "}", nl)
             columns = [_column([d[k] for d in items], inner) for k in keys]
             return list(map(template.__mod__, zip(*columns)))
-    if len(items) > 1 and kinds <= {list, tuple}:
-        widths = set(map(len, items))
-        if len(widths) == 1 and 0 not in widths:
-            template = _wrap("[", ["%s"] * widths.pop(), "]", nl)
-            columns = [_column(c, inner) for c in zip(*items)]
-            return list(map(template.__mod__, zip(*columns)))
+    if len(items) > 1 and kinds <= {list, tuple} and any(map(len, items)):
+        lengths = list(map(len, items))
+        top = max(lengths)
+        templates = {w: (_wrap("[", ["%s"] * w, "]", nl) if w else "[]") + "%.0s" * (top - w)
+                     for w in set(lengths)}
+        # 0 pads the shorter items to the longest; their "%.0s" slots write nothing for it
+        columns = [_column(c, inner) for c in zip_longest(*items, fillvalue=0)]
+        return list(map(operator.mod, map(templates.__getitem__, lengths), zip(*columns)))
     return [_container(x, nl) if isinstance(x, (dict, list, tuple)) else json.dumps(x)
             for x in items]
 

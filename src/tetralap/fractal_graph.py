@@ -12,6 +12,7 @@ construction is exact at any depth.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import re
@@ -37,11 +38,11 @@ CORNER_COORDS = np.array(
     ]
 )
 
-#: Default construction cap.  build_level peaks at 297, 290 and 257 bytes
-#: per vertex at levels 8, 9 and 10 (each in a fresh process, by
-#: resource.getrusage, above the RSS after import), so N_11 = 8.4e6
-#: vertices take about 2.2 GB and N_12 = 3.4e7 about 8.6 GB, more than a
-#: 7 GB machine holds; level 12 needs below about 200 bytes per vertex.
+#: Default construction cap.  With all five tables read, a level graph peaks
+#: at 173, 173, 182 and 168 bytes per vertex at levels 8 to 11 (each in a
+#: fresh process, by resource.getrusage, above the RSS after import), so
+#: N_11 = 8.4e6 vertices take about 1.4 GB.  N_12 = 3.4e7 would take about
+#: 6 GB, most of a 7.5 GB machine; its int64 tables alone hold 4.3 GB.
 DEFAULT_LEVEL_CAP = 11
 
 
@@ -57,6 +58,11 @@ def is_integer(x) -> bool:
 def is_letter(x) -> bool:
     """Whether x is an integer in 0..3, not a bool or a float."""
     return x in LETTERS and is_integer(x)
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -109,20 +115,46 @@ class LevelGraph:
     first.  ``cells[k]`` holds the corners j = 0..3 of the cell whose word is
     the k-th word of length m in product order; ``edges`` the sorted (i, j)
     pairs with i < j; and
-    ``neighbor_idx[neighbor_ptr[v]:neighbor_ptr[v + 1]]`` the neighbors of v.
+    ``neighbor_idx[neighbor_ptr[v]:neighbor_ptr[v + 1]]`` the ascending
+    neighbors of v.  ``keys`` and ``cells`` are built with the graph; the
+    edge and neighbor tables are built on first read, since most graphs
+    are only read through their cells, and each read returns that one array.
     """
 
     level: int
     keys: np.ndarray = field(repr=False)
     cells: np.ndarray = field(repr=False)
-    edges: np.ndarray = field(repr=False)
-    neighbor_ptr: np.ndarray = field(repr=False)
-    neighbor_idx: np.ndarray = field(repr=False)
     boundary = (0, 1, 2, 3)
 
     def __post_init__(self):
-        for table in (self.keys, self.cells, self.edges, self.neighbor_ptr, self.neighbor_idx):
-            table.flags.writeable = False
+        _read_only(self.keys)
+        _read_only(self.cells)
+
+    @functools.cached_property
+    def neighbor_idx(self) -> np.ndarray:
+        return _read_only(_neighbor_rows(self.level))
+
+    @functools.cached_property
+    def neighbor_ptr(self) -> np.ndarray:
+        """0, 3, 6, 9 for the corners, then 12 and 6 more per vertex."""
+        end = 6 * self.n_vertices - 12
+        return _read_only(np.concatenate([np.arange(0, 12, 3), np.arange(12, end + 1, 6)]))
+
+    @functools.cached_property
+    def edges(self) -> np.ndarray:
+        """The entries w > v of every neighbor row v, as (v, w), row by row."""
+        n, idx = self.n_vertices, self.neighbor_idx
+        edges = np.empty((3 * n - 6, 2), np.int64)
+        end = 0
+        for first, rows in ((0, idx[:12].reshape(4, 3)), (4, idx[12:].reshape(-1, 6))):
+            at = (rows > np.arange(first, first + len(rows))[:, None]).ravel().nonzero()[0]
+            stop = end + len(at)
+            edges[end:stop, 1] = rows.ravel()[at]
+            at //= rows.shape[1]
+            at += first
+            edges[end:stop, 0] = at
+            end = stop
+        return _read_only(edges)
 
     @property
     def n_vertices(self) -> int:
@@ -174,28 +206,75 @@ def _address_key(a: Address, m: int) -> int:
     return key * 5 ** (m - len(a.word)) * 4 + a.base
 
 
-def _four_copies(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending vertex keys and the product-order cells of level m.
+#: The six junctions lo:hi, lo < hi, one (lo, hi) pair per row.
+_PAIRS = np.array(CELL_MIDPOINT_PAIRS)
+_LO, _HI = _PAIRS.T
+_DIAGONAL = np.arange(4)
+
+
+def _copy_maps(m: int):
+    """For k = 1..m, the (4, N_{k-1}) map of copy i's level-(k-1) vertex indices
+    to level-k indices.
 
     V_k is the four copies f_i(V_{k-1}): f_i(W:b) = iW:b stays canonical
     for a nonempty W and adds 4(i+1)5^(k-1) to the key, while the corner
     i:b is P_i for b == i and else the junction min(i,b):max(i,b), kept in
-    the block of copy min(i,b).  So copy i's block is keys[i+1:] shifted,
-    the blocks follow the corners in key order, and the cells of word iW
-    are copy i's index map applied to the cells of W.
+    the block of copy min(i,b).  So copy i's block is level k-1's vertices
+    i+1.. in order, and the blocks follow the corners.  Each map ascends
+    except at corner i, which is P_i = i, below every junction.
     """
+    n = 4
+    for _ in range(m):
+        # vertex v > i of copy i follows the corners and blocks of n-1, .., n-i vertices
+        copy = np.array([[3], [n + 1], [2 * n - 2], [3 * n - 6]]) + np.arange(n)
+        copy[_HI, _LO] = copy[_LO, _HI]  # junction lo:hi is also corner lo of copy hi
+        copy[_DIAGONAL, _DIAGONAL] = _DIAGONAL  # corner i of copy i is P_i
+        yield copy
+        n = 4 * n - 6
+
+
+def _four_copies(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending vertex keys and the product-order cells of level m: the
+    corners, then copy i's keys of vertices i+1.. shifted, block by block;
+    the cells of word iW are copy i's map applied to the cells of W."""
     keys, cells = np.arange(4), np.arange(4)[None, :]
-    skip = np.arange(1, 5)  # copy i keeps level-(k-1) vertices i+1.. in its block
-    hi, lo = np.tril_indices(4, -1)
-    for k in range(1, m + 1):
-        sizes = len(keys) - skip
-        start = 4 + np.cumsum(sizes) - sizes
-        copy = (start - skip)[:, None] + np.arange(len(keys))
-        copy[hi, lo] = start[lo] + hi - lo - 1  # corner lo of copy hi is junction lo:hi
-        copy[LETTERS, LETTERS] = LETTERS  # corner i of copy i is P_i
+    for k, copy in enumerate(_copy_maps(m), 1):
         keys = np.concatenate([keys[:4]] + [4 * 5 ** (k - 1) * (i + 1) + keys[i + 1:] for i in LETTERS])
         cells = copy[:, cells].reshape(-1, 4)
     return keys, cells
+
+
+def _neighbor_rows(m: int) -> np.ndarray:
+    """neighbor_idx of level m: the corner rows (4, 3), then the other rows
+    (N_m - 4, 6), each row ascending, built from level m-1's rows.
+
+    A vertex of copy i other than its corners keeps its row, mapped by copy
+    i; that keeps it ascending except in the three rows next to corner i,
+    where P_i moves first.  Corner P_i's row is copy i's map of corner i's
+    row, which holds no P_i, and junction lo:hi joins corner hi's row in
+    copy lo with corner lo's row in copy hi.  Only the 12 rows next to a
+    corner and the 6 junction rows are sorted.
+    """
+    idx = np.array([[j for j in LETTERS if j != i] for i in LETTERS]).ravel()
+    for copy in _copy_maps(m):
+        corner, inner = idx[:12].reshape(4, 3), idx[12:].reshape(-1, 6)
+        idx = np.empty(24 * copy.shape[1] - 48, np.int64)
+        rows = idx[12:].reshape(-1, 6)
+        mapped = copy[:, corner]  # mapped[i, b] is corner b's row in copy i
+        near = mapped[_DIAGONAL, _DIAGONAL].ravel()
+        idx[:12] = near
+        if len(inner):
+            for i in LETTERS:  # copy i's vertices 4.. are one ascending block
+                first = copy[i, 4] - 4
+                # every index is in range; "clip" writes to out unbuffered, "raise" would not
+                copy[i].take(inner, out=rows[first:first + len(inner)], mode="clip")
+            nearby = rows[near - 4]
+            nearby.sort(axis=1)
+            rows[near - 4] = nearby
+        junctions = mapped[_PAIRS, _PAIRS[:, ::-1]].reshape(6, 6)
+        junctions.sort(axis=1)
+        rows[copy[_LO, _HI] - 4] = junctions
+    return idx
 
 
 def build_level(m: int) -> LevelGraph:
@@ -211,20 +290,7 @@ def build_level(m: int) -> LevelGraph:
         raise LevelCapError(f"level {m} exceeds cap {DEFAULT_LEVEL_CAP} (~{2 * 4 ** m} vertices)")
 
     keys, cells = _four_copies(m)
-
-    # cells share no edges, so the six corner pairs of every cell are the edge set
-    n = len(keys)
-    a, b = cells[:, [0, 0, 0, 1, 1, 2]], cells[:, [1, 2, 3, 2, 3, 3]]
-    pairs = np.sort((np.minimum(a, b) * n + np.maximum(a, b)).ravel())
-    both = np.sort(np.concatenate([pairs, pairs % n * n + pairs // n]))  # (v, w) and (w, v)
-    return LevelGraph(
-        level=m,
-        keys=keys,
-        cells=cells,
-        edges=np.stack([pairs // n, pairs % n], axis=1),
-        neighbor_ptr=np.searchsorted(both, np.arange(n + 1) * n),
-        neighbor_idx=both % n,
-    )
+    return LevelGraph(level=m, keys=keys, cells=cells)
 
 
 def level_graph(m: int, given: LevelGraph | None = None) -> LevelGraph:

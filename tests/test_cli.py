@@ -473,6 +473,9 @@ WRITER_CASES = [
     {"%s": 1, "100%": [2, 3], 'k"ey': "v%d", "é\n": None, "": 0},
     [{"%": 1.0, "%%s": "%s"}, {"%": 2.0, "%%s": "%(a)d"}],
     "a string", 3, 2.5, None, float("nan"), True,
+    # lists of several lengths, the graph_json "word" column among them
+    [[], [0], [0, 3], [], [2], (1, 2)], [[], []], [[1.5, "x"], [2], ["%s", None, "\x00"]],
+    [[[1], []], [[2, [3]]], []], {"vertices": [{"word": []}, {"word": [0, 1]}, {"word": [3]}]},
 ]
 
 

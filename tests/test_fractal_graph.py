@@ -6,6 +6,8 @@ Core claims:
     - canonicalization is idempotent and embeds invariantly
     - canonical addresses biject with geometric points (m <= 4, exhaustive)
     - V_{m-1} sits inside V_m as the shorter-word addresses
+    - the edge and neighbor tables are built once, on first read, and
+      extension, restriction and address export never build them
 """
 
 import hashlib
@@ -22,9 +24,13 @@ from tetralap import (
     address_strings,
     build_level,
     canonicalize,
+    cell_restriction,
     graph_json,
+    harmonic_family,
+    harmonize,
     vertex_coords,
 )
+from tetralap import fractal_graph
 
 
 def embed_address(a: Address) -> np.ndarray:
@@ -281,6 +287,38 @@ def test_level_tables_are_pinned(m):
         assert (table.dtype, table.shape) == (np.int64, shape), name
         sha.update(table.tobytes())
     assert sha.hexdigest() == LEVEL_TABLE_DIGESTS[m]
+
+
+def test_neighbor_tables_are_built_once_and_read_only():
+    g = build_level(3)
+    for name in ("edges", "neighbor_ptr", "neighbor_idx"):
+        table = getattr(g, name)
+        assert getattr(g, name) is table, name
+        with pytest.raises(ValueError):
+            table[0] = -1
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_neighbor_ptr_is_the_cumulative_degrees(m):
+    g = build_level(m)
+    degrees = np.full(g.n_vertices, 6)
+    degrees[:4] = 3
+    assert g.neighbor_ptr.tolist() == [0, *np.cumsum(degrees).tolist()]
+    assert len(g.neighbor_idx) == g.neighbor_ptr[-1]
+
+
+def test_extension_restriction_and_export_build_no_neighbor_table(monkeypatch):
+    def refuse(m):
+        raise AssertionError(f"built the level-{m} neighbor rows")
+
+    monkeypatch.setattr(fractal_graph, "_neighbor_rows", refuse)
+    b = (1.0, -0.5, 0.25, 2.0)
+    u = harmonize(b, 7)
+    assert harmonic_family(b)(6).values.tobytes() == u.values[u.graph.indices_of(build_level(6))].tobytes()
+    assert cell_restriction(u, 2).graph.level == 6
+    assert len(address_strings(u.graph)) == len(vertex_coords(u.graph)) == u.graph.n_vertices
+    with pytest.raises(AssertionError, match="level-7 neighbor rows"):
+        u.graph.edges
 
 
 def test_address_string_round_trip():
