@@ -28,6 +28,7 @@ cancellation that makes 3 - sqrt(9 - lam) lose digits as lam -> 0.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -49,6 +50,10 @@ SPECTRUM_LEVEL_CAP = 15
 #: value by less than REL_TOL relatively, give up at GENERATION_CAP.
 LIMIT_REL_TOL = 1e-12
 LIMIT_GENERATION_CAP = 60
+
+#: Rows built as records, or compared by spectrum_from_json, at a time: enough
+#: to keep the per-block calls cheap, few enough to keep transient lists small.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,25 +152,38 @@ class SpectrumTable:
 
     def rows(self, rows=slice(None)):
         """The selected rows as tuples of Python scalars, in COLUMNS order."""
-        return zip(*(getattr(self, name)[rows].tolist() for name in self.COLUMNS))
+        return zip(*_scalars(getattr(self, name)[rows] for name in self.COLUMNS))
 
-    def _record(self, value, multiplicity, birth_level, birth_value, branches, *rest):
-        return self.ROW(value, multiplicity, Lineage(birth_level, birth_value, branches), *rest)
+    def _build(self, rows=slice(None)) -> list:
+        """The selected rows as ROW records, as ROW(value, multiplicity,
+        Lineage(...), *rest) makes them, but a block at a time without __init__:
+        a block's lineage columns are checked once, and a row Lineage refuses
+        raises Lineage's own error.  The list is sized once, not grown."""
+        columns = [getattr(self, name)[rows] for name in self.COLUMNS]
+        built = [None] * len(columns[0])
+        for start in range(0, len(built), _BLOCK):
+            block = [column[start:start + _BLOCK] for column in columns]
+            for bad in np.flatnonzero(_lineage_faults(*block[2:5])):
+                Lineage(*(column[bad].item() for column in block[2:5]))
+            value, mult, level, born, branches, *rest = _scalars(block)
+            lineages = _new(Lineage, level, born, branches)
+            built[start:start + _BLOCK] = _new(self.ROW, value, mult, lineages, *rest)
+        return built
 
     @functools.cached_property
     def records(self) -> tuple:
-        """The rows as ROW records, built on first access."""
-        return tuple(self._record(*row) for row in self.rows())
+        """The rows as ROW records, built in bulk on first access and cached."""
+        return tuple(self._build())
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return self.records[i]
+            return tuple(self._build(i))
         k = range(len(self))[i]  # negative i and IndexError as on a tuple
-        (row,) = self.rows(slice(k, k + 1))
-        return self._record(*row)
+        (row,) = self._build(slice(k, k + 1))
+        return row
 
     def __iter__(self):
         return iter(self.records)
@@ -238,6 +256,45 @@ def _branches_after(lam: float) -> str:
 
 #: The values _branches_after continues on PLUS only, for the column steps.
 _PLUS_ONLY = [v for v in FORBIDDEN_VALUES if MINUS not in _branches_after(v)]
+
+
+#: The birth values a valid row can hold, keyed by value.
+_BIRTH_VALUES = {v: v for v in FORBIDDEN_VALUES}
+
+
+def _scalars(columns) -> list:
+    """Columns in COLUMNS order as lists of Python scalars.  The birth values
+    share the FORBIDDEN_VALUES floats, so a table holds three birth-value
+    objects, not one per row."""
+    lists = [column.tolist() for column in columns]
+    lists[3] = list(map(_BIRTH_VALUES.get, lists[3], lists[3]))
+    return lists
+
+
+def _lineage_faults(levels, born, branches) -> np.ndarray:
+    """Which rows Lineage(level, born, branches) refuses, by the rules of
+    Lineage.__post_init__ (an int64 birth level is always an integer)."""
+    codes = np.ascontiguousarray(branches, branches.dtype.newbyteorder("="))
+    codes = codes.view(np.uint32).reshape(len(branches), branches.itemsize // 4)
+    letters = codes != 0  # numpy pads with NULs; a NUL before a letter is real
+    return (
+        ~np.isin(born, FORBIDDEN_VALUES)
+        | (levels < 1)
+        | (born == 2.0) & (levels != 1)
+        | (letters & (codes != ord(MINUS)) & (codes != ord(PLUS))).any(axis=1)
+        | (letters[:, 1:] > letters[:, :-1]).any(axis=1)
+        | np.isin(born, _PLUS_ONLY) & (codes[:, 0] == ord(MINUS))
+    )
+
+
+def _new(cls, *columns) -> list:
+    """One instance of the slotted dataclass cls per row, its fields taken from
+    the columns in field order and set through the slot descriptors, so
+    __init__ and its checks do not run."""
+    made = list(map(object.__new__, itertools.repeat(cls, len(columns[0]))))
+    for field, column in zip(dataclasses.fields(cls), columns):
+        collections.deque(map(getattr(cls, field.name).__set__, made, column), maxlen=0)
+    return made
 
 
 def born_multiplicities(m: int) -> dict[int, int]:
@@ -476,11 +533,6 @@ def eigenfunction_family(
 # --- serialization ------------------------------------------------------
 
 
-#: Records spectrum_from_json compares at a time: enough to keep the
-#: per-block calls cheap, few enough to keep its transient lists small.
-_JSON_BLOCK = 4096
-
-
 def _json_rows(fields, rows):
     """Rows (tuples in COLUMNS order) as JSON dicts, one field per column."""
     return map(dict, map(zip, itertools.repeat(fields), rows))
@@ -518,8 +570,8 @@ def spectrum_from_json(data: dict) -> SpectrumTable:
         raise ValueError(f"multiplicities add up to {total}, not {stated}")
     table = enumerate_spectrum(level)
     fields = table.fields
-    for start in range(0, max(len(table), len(records)), _JSON_BLOCK):
-        block = slice(start, start + _JSON_BLOCK)
+    for start in range(0, max(len(table), len(records)), _BLOCK):
+        block = slice(start, start + _BLOCK)
         want = [getattr(table, name)[block].tolist() for name in table.COLUMNS]
         got = records[block]
         # compared column by column: dict.get gives None for a missing field,

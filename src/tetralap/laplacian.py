@@ -38,7 +38,9 @@ def _neighbor_sums(u: VertexFunction, start: int, stop: int) -> np.ndarray:
     g = u.graph
     degree = 3 if stop <= 4 else 6
     rows = g.neighbor_idx[g.neighbor_ptr[start]:g.neighbor_ptr[stop]].reshape(-1, degree)
-    return np.sum(u.values[rows] - u.values[start:stop, None], axis=1)
+    diffs = u.values[rows]  # a fresh gather, so one (n, degree) array is enough
+    diffs -= u.values[start:stop, None]
+    return np.sum(diffs, axis=1)
 
 
 def interior_laplacian(u: VertexFunction) -> np.ndarray:

@@ -203,9 +203,12 @@ def test_limit_table_item_builds_one_row(build):
     assert "records" not in vars(table)  # no other row was built
     assert isinstance(first, EigenvalueRecord) and first.level == first.lineage.level
     assert type(first) is table.ROW
+    part, backward = table[3:9], table[::-1]
+    assert "records" not in vars(table)  # a slice builds its own rows only
     assert (first, last) == (table.records[0], table.records[-1])
     assert [table[i] for i in range(-127, 127)] == list(table.records) * 2
     assert table[np.int64(5)] == table.records[5]
+    assert part == table.records[3:9] and backward == table.records[::-1]
     assert table[3:9] == table.records[3:9] and table[::-1] == table.records[::-1]
     assert list(table) == list(table.records) and len(table) == 127
     for i in (127, -128):
@@ -213,6 +216,79 @@ def test_limit_table_item_builds_one_row(build):
             table[i]
     with pytest.raises(TypeError):
         table[1.0]
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(functools.partial(enumerate_spectrum, m), id=f"spectrum-{m}")
+      for m in range(1, 16)),
+    pytest.param(lambda: limit_spectrum(6, 127), id="limit-6-127"),
+    pytest.param(lambda: limit_spectrum(15, 65535), id="limit-15-65535"),
+])
+def test_records_equal_the_per_row_constructor(build):
+    # the bulk build skips __init__, so it must give what __init__ gives
+    table = build()
+    want = [
+        table.ROW(v, m, Lineage(bl, bv, br), *rest) for v, m, bl, bv, br, *rest in table.rows()
+    ]
+    got = table.records
+    assert list(got) == want
+    assert list(map(type, got)) == list(map(type, want))
+    assert list(map(repr, got)) == list(map(repr, want))
+    assert list(map(hash, got)) == list(map(hash, want))
+    # equal birth values are one float object, not one per row
+    assert len({id(r.lineage.birth_value) for r in got}) <= 3
+
+
+@pytest.mark.parametrize("column, row, bad", [
+    pytest.param("birth_values", 5, 5.0, id="born-at-5"),
+    pytest.param("birth_levels", 5, 0, id="born-at-level-0"),
+    pytest.param("birth_levels", 4, 2, id="2-born-at-level-2"),
+    pytest.param("branches", 5, "-x", id="branch-x"),
+    pytest.param("branches", 5, "-\x00+", id="branch-nul"),
+    pytest.param("birth_values", 0, 8.0, id="8-continues-on-minus"),
+])
+def test_rows_raise_the_lineage_error_of_their_first_bad_row(column, row, bad):
+    # the level-3 rows with one fault at row, and another at row 12 (born 2.0
+    # at level 1, now at level -1); each read raises what Lineage raises for
+    # the first bad row among the rows it reads
+    table = enumerate_spectrum(3)
+    columns = {name: getattr(table, name).tolist() for name in table.COLUMNS}
+    columns[column][row] = bad
+    columns["birth_levels"][12] = -1
+    table = SpectrumTable(3, *columns.values())
+
+    def lineage_error(i):
+        with pytest.raises(Exception) as error:
+            Lineage(columns["birth_levels"][i], columns["birth_values"][i], columns["branches"][i])
+        return error.type, str(error.value)
+
+    first, later = lineage_error(row), lineage_error(12)
+    assert first != later
+    for read, want in [
+        (lambda: table.records, first), (lambda: list(table), first),
+        (lambda: table[row], first), (lambda: table[row - 15], first),
+        (lambda: table[:row + 1], first), (lambda: table[row:13], first),
+        (lambda: table[12], later), (lambda: table[row + 1:], later),
+        (lambda: table[::-1], later),
+    ]:
+        with pytest.raises(want[0]) as error:
+            read()
+        assert (error.type, str(error.value)) == want
+    assert list(table[:row]) == [
+        EigenvalueRecord(v, m, Lineage(bl, bv, br)) for v, m, bl, bv, br in table.rows(slice(row))
+    ]
+
+
+def test_rows_check_branches_in_either_byte_order():
+    # the check reads the branches as character codes, whatever their byte order
+    branches = np.array(["-", "+", "-"], dtype=">U1")
+    table = SpectrumTable(2, [1.0, 2.0, 3.0], [1, 1, 1], [1, 1, 1], [2.0, 8.0, 8.0], branches)
+    with pytest.raises(ValueError, match="8.0 does not continue on '-'"):
+        table.records
+    assert table[:2] == (
+        EigenvalueRecord(1.0, 1, Lineage(1, 2.0, "-")),
+        EigenvalueRecord(2.0, 1, Lineage(1, 8.0, "+")),
+    )
 
 
 def test_spectrum_table_refuses_ragged_columns():
