@@ -49,7 +49,6 @@ from .decimation import (
     counting_function,
     eigenfunction_family,
     enumerate_spectrum,
-    limit_eigenvalue,
     limit_spectrum,
     limit_spectrum_json,
     spectrum_from_json,

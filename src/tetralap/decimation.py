@@ -51,8 +51,9 @@ SPECTRUM_LEVEL_CAP = 15
 LIMIT_REL_TOL = 1e-12
 LIMIT_GENERATION_CAP = 60
 
-#: Rows built as records, or compared by spectrum_from_json, at a time: enough
-#: to keep the per-block calls cheap, few enough to keep transient lists small.
+#: Rows checked against Lineage's rules, built as records, or compared by
+#: spectrum_from_json, at a time: enough to keep the per-block calls cheap, few
+#: enough to keep transient arrays and lists small.
 _BLOCK = 4096
 
 
@@ -99,7 +100,7 @@ class EigenvalueRecord:
 
 @dataclass(frozen=True, slots=True)
 class LimitEigenvalue(EigenvalueRecord):
-    """2 * lim 6^k lam_k along a lineage continued as limit_eigenvalue does."""
+    """2 * lim 6^k lam_k along a lineage continued as limit_spectrum does."""
 
     generations_used: int
 
@@ -108,7 +109,8 @@ class LimitEigenvalue(EigenvalueRecord):
 class SpectrumTable:
     """The level-m spectrum as read-only columns, one row per record, in
     ascending value order; ``branches`` holds each row's Lineage.branches.
-    The table reads as a sequence of ROW records (len, indexing, iteration)."""
+    The table reads as a sequence of ROW records (len, indexing, iteration).
+    A table refuses a row Lineage refuses, with Lineage's own error."""
 
     #: Column name -> (JSON field, dtype); a row is one record.
     COLUMNS: ClassVar[dict[str, tuple[str, type]]] = {
@@ -128,8 +130,12 @@ class SpectrumTable:
     branches: np.ndarray
 
     def __post_init__(self):
-        for name, (_, dtype) in self.COLUMNS.items():
-            column = np.asarray(getattr(self, name), dtype=dtype).view()
+        for name, (field, dtype) in self.COLUMNS.items():
+            given = np.asarray(getattr(self, name))
+            if dtype is np.int64 and given.size and given.dtype.kind not in "iu":
+                raise TypeError(f"{field.replace('_', ' ')} must be an integer, "
+                                f"got {given.flat[0].item()!r}")
+            column = np.asarray(given, dtype=dtype).view()
             if column.ndim != 1 or len(column) != len(self.values):
                 raise ValueError(f"{name} must be one-dimensional and as long as values, "
                                  f"got shape {column.shape}")
@@ -137,6 +143,11 @@ class SpectrumTable:
             object.__setattr__(self, name, column)
         if np.isnan(self.values).any() or (self.values[1:] < self.values[:-1]).any():
             raise ValueError("values must ascend")
+        for start in range(0, len(self), _BLOCK):
+            block = [column[start:start + _BLOCK]
+                     for column in (self.birth_levels, self.birth_values, self.branches)]
+            for bad in np.flatnonzero(_lineage_faults(*block))[:1]:
+                Lineage(*(column[bad].item() for column in block))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -157,15 +168,14 @@ class SpectrumTable:
     def _build(self, rows=slice(None)) -> list:
         """The selected rows as ROW records, as ROW(value, multiplicity,
         Lineage(...), *rest) makes them, but a block at a time without __init__:
-        a block's lineage columns are checked once, and a row Lineage refuses
-        raises Lineage's own error.  The list is sized once, not grown."""
+        the table checked every lineage when it was made.  The list is sized
+        once, not grown."""
         columns = [getattr(self, name)[rows] for name in self.COLUMNS]
         built = [None] * len(columns[0])
         for start in range(0, len(built), _BLOCK):
-            block = [column[start:start + _BLOCK] for column in columns]
-            for bad in np.flatnonzero(_lineage_faults(*block[2:5])):
-                Lineage(*(column[bad].item() for column in block[2:5]))
-            value, mult, level, born, branches, *rest = _scalars(block)
+            value, mult, level, born, branches, *rest = _scalars(
+                column[start:start + _BLOCK] for column in columns
+            )
             lineages = _new(Lineage, level, born, branches)
             built[start:start + _BLOCK] = _new(self.ROW, value, mult, lineages, *rest)
         return built
@@ -366,9 +376,8 @@ def _limits(table: SpectrumTable, count: int) -> LimitTable:
         if not len(rows):
             break
     else:
-        (_, _, level, born, branches), = table.rows(rows[:1])
         raise ValueError(
-            f"the limit of {Lineage(level, born, branches)} did not converge within "
+            f"the limit of {table[int(rows[0])].lineage} did not converge within "
             f"LIMIT_GENERATION_CAP = {LIMIT_GENERATION_CAP} generations"
         )
     rows = np.argsort(limits, kind="stable")[:count]
@@ -377,18 +386,6 @@ def _limits(table: SpectrumTable, count: int) -> LimitTable:
         table.level, limits[rows], table.multiplicities[rows], table.birth_levels[rows],
         table.birth_values[rows], continued, generations[rows],
     )
-
-
-def limit_eigenvalue(record: EigenvalueRecord) -> LimitEigenvalue:
-    """The limit of one graph record: limit_spectrum's continuation of a
-    one-row table; ValueError if LIMIT_GENERATION_CAP generations do not
-    reach LIMIT_REL_TOL."""
-    lineage = record.lineage
-    row = SpectrumTable(
-        record.level, [record.value], [record.multiplicity],
-        [lineage.birth_level], [lineage.birth_value], [lineage.branches],
-    )
-    return _limits(row, 1)[0]
 
 
 def limit_spectrum(m_birth_max: int, count: int) -> LimitTable:
@@ -502,7 +499,7 @@ def eigenfunction_family(
     Starts from the ``member``-th kernel vector at the birth level and
     extends it through eigenfunction_extend along the recorded branches;
     levels above lineage.level take the first branch _branches_after
-    allows, as limit_eigenvalue does for the same lineage.
+    allows, as limit_spectrum does for the same lineage.
     """
     lookup = graphs or {}
     birth = lineage.birth_level

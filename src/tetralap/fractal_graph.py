@@ -184,12 +184,6 @@ class LevelGraph:
         shift = 5 ** (self.level - coarse.level)
         return np.searchsorted(self.keys, coarse.keys // 4 * shift * 4 + coarse.keys % 4)
 
-    def neighbors(self, v: int) -> list[int]:
-        """Adjacent vertex indices: 6 for interior, 3 for boundary (m >= 1)."""
-        if not 0 <= v < len(self.keys):
-            raise IndexError(f"vertex index {v} out of range for level {self.level}")
-        return self.neighbor_idx[self.neighbor_ptr[v]:self.neighbor_ptr[v + 1]].tolist()
-
 
 def _word_digits(g: LevelGraph) -> np.ndarray:
     """(N, m) word digits of the vertex keys: each letter plus 1, then 0s."""

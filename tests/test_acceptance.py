@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from multiset import eigenvalue_multiset
+from test_decimation import limit_eigenvalue
 from tetralap import (
     Address,
     VertexFunction,
@@ -27,7 +28,6 @@ from tetralap import (
     harmonic_family,
     interior_laplacian,
     jacobi_eigen,
-    limit_eigenvalue,
     limit_spectrum,
     eigenfunction_family,
     normal_derivative,

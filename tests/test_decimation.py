@@ -36,7 +36,6 @@ from tetralap import (
     eigenfunction_family,
     enumerate_spectrum,
     interior_laplacian,
-    limit_eigenvalue,
     limit_spectrum,
     spectrum_from_json,
     spectrum_json,
@@ -239,56 +238,91 @@ def test_records_equal_the_per_row_constructor(build):
     assert len({id(r.lineage.birth_value) for r in got}) <= 3
 
 
-@pytest.mark.parametrize("column, row, bad", [
-    pytest.param("birth_values", 5, 5.0, id="born-at-5"),
-    pytest.param("birth_levels", 5, 0, id="born-at-level-0"),
-    pytest.param("birth_levels", 4, 2, id="2-born-at-level-2"),
-    pytest.param("branches", 5, "-x", id="branch-x"),
-    pytest.param("branches", 5, "-\x00+", id="branch-nul"),
-    pytest.param("birth_values", 0, 8.0, id="8-continues-on-minus"),
-])
-def test_rows_raise_the_lineage_error_of_their_first_bad_row(column, row, bad):
-    # the level-3 rows with one fault at row, and another at row 12 (born 2.0
-    # at level 1, now at level -1); each read raises what Lineage raises for
-    # the first bad row among the rows it reads
-    table = enumerate_spectrum(3)
+LINEAGE_COLUMNS = ("birth_levels", "birth_values", "branches")
+
+
+def _error(make):
+    """The (type, message) of the exception make() raises."""
+    with pytest.raises(Exception) as error:
+        make()
+    return error.type, str(error.value)
+
+
+def _with(table, **rows):
+    """The table's columns as lists, each named column changed at the given
+    {row: value} entries."""
     columns = {name: getattr(table, name).tolist() for name in table.COLUMNS}
-    columns[column][row] = bad
-    columns["birth_levels"][12] = -1
-    table = SpectrumTable(3, *columns.values())
-
-    def lineage_error(i):
-        with pytest.raises(Exception) as error:
-            Lineage(columns["birth_levels"][i], columns["birth_values"][i], columns["branches"][i])
-        return error.type, str(error.value)
-
-    first, later = lineage_error(row), lineage_error(12)
-    assert first != later
-    for read, want in [
-        (lambda: table.records, first), (lambda: list(table), first),
-        (lambda: table[row], first), (lambda: table[row - 15], first),
-        (lambda: table[:row + 1], first), (lambda: table[row:13], first),
-        (lambda: table[12], later), (lambda: table[row + 1:], later),
-        (lambda: table[::-1], later),
-    ]:
-        with pytest.raises(want[0]) as error:
-            read()
-        assert (error.type, str(error.value)) == want
-    assert list(table[:row]) == [
-        EigenvalueRecord(v, m, Lineage(bl, bv, br)) for v, m, bl, bv, br in table.rows(slice(row))
-    ]
+    for name, changes in rows.items():
+        for i, bad in changes.items():
+            columns[name][i] = bad
+    return columns
 
 
-def test_rows_check_branches_in_either_byte_order():
-    # the check reads the branches as character codes, whatever their byte order
+@pytest.mark.parametrize("level, column, row, bad", [
+    pytest.param(3, "birth_values", 5, 5.0, id="born-at-5"),
+    pytest.param(3, "birth_levels", 5, 0, id="born-at-level-0"),
+    pytest.param(3, "birth_levels", 4, 2, id="2-born-at-level-2"),
+    pytest.param(3, "branches", 5, "-x", id="branch-x"),
+    pytest.param(3, "branches", 5, "-\x00+", id="branch-nul"),
+    pytest.param(3, "birth_values", 0, 8.0, id="8-continues-on-minus"),
+    pytest.param(12, "birth_values", 4096 + 7, 5.0, id="second-block"),
+])
+def test_tables_refuse_the_first_bad_lineage_when_made(level, column, row, bad):
+    # one fault at row, and another further on (born 2.0 at level 1, now at
+    # level -1): construction raises what Lineage raises for the first
+    table = enumerate_spectrum(level)
+    later = 12 if level == 3 else 8000
+    columns = _with(table, **{column: {row: bad}})
+    first = _error(lambda: Lineage(*(columns[name][row] for name in LINEAGE_COLUMNS)))
+    columns["birth_levels"][later] = -1
+    assert first != _error(lambda: Lineage(*(columns[name][later] for name in LINEAGE_COLUMNS)))
+    assert _error(lambda: SpectrumTable(level, *columns.values())) == first
+
+
+def test_tables_refuse_bad_lineages_in_every_form():
+    # branches in either byte order are read as character codes
     branches = np.array(["-", "+", "-"], dtype=">U1")
-    table = SpectrumTable(2, [1.0, 2.0, 3.0], [1, 1, 1], [1, 1, 1], [2.0, 8.0, 8.0], branches)
-    with pytest.raises(ValueError, match="8.0 does not continue on '-'"):
-        table.records
-    assert table[:2] == (
+    good = SpectrumTable(2, [1.0, 2.0], [1, 1], [1, 1], [2.0, 8.0], branches[:2])
+    assert good.records == (
         EigenvalueRecord(1.0, 1, Lineage(1, 2.0, "-")),
         EigenvalueRecord(2.0, 1, Lineage(1, 8.0, "+")),
     )
+    assert _error(
+        lambda: SpectrumTable(2, [1.0, 2.0, 3.0], [1, 1, 1], [1, 1, 1], [2.0, 8.0, 8.0], branches)
+    ) == _error(lambda: Lineage(1, 8.0, "-"))
+    # a limit table, and a copy made by dataclasses.replace, are checked too
+    limits = limit_spectrum(6, 127)
+    columns = _with(limits, birth_values={3: 5.0})
+    replaced = functools.partial(dataclasses.replace, limits, birth_values=columns["birth_values"])
+    assert _error(replaced) == _error(
+        lambda: Lineage(columns["birth_levels"][3], 5.0, columns["branches"][3])
+    )
+    columns = _with(limits, birth_levels={9: 0})
+    assert _error(lambda: LimitTable(limits.level, *columns.values())) == _error(
+        lambda: Lineage(0, columns["birth_values"][9], columns["branches"][9])
+    )
+
+
+@pytest.mark.parametrize("column, bad", [
+    pytest.param("birth_levels", 1.5, id="birth-level-1.5"),
+    pytest.param("birth_levels", True, id="birth-level-true"),
+    pytest.param("multiplicities", 1.5, id="multiplicity-1.5"),
+    pytest.param("multiplicities", True, id="multiplicity-true"),
+    pytest.param("generations_used", 2.0, id="generations-2.0"),
+])
+def test_integer_columns_refuse_floats_and_bools(column, bad):
+    # a float or bool column would be truncated to an integer one, so a row
+    # would read back a birth level or multiplicity it was not given
+    limits = limit_spectrum(3, 5)
+    columns = {name: getattr(limits, name)[:1].tolist() for name in limits.COLUMNS}
+    columns[column] = [bad]
+    field = limits.COLUMNS[column][0].replace("_", " ")
+    want = TypeError, f"{field} must be an integer, got {bad!r}"
+    assert _error(lambda: LimitTable(limits.level, *columns.values())) == want
+    if column == "birth_levels":
+        assert _error(lambda: Lineage(bad, columns["birth_values"][0])) == want
+    # an empty column has no dtype to keep; the empty table is accepted
+    assert len(SpectrumTable(1, [], [], [], [], [])) == 0
 
 
 def test_spectrum_table_refuses_ragged_columns():
@@ -379,6 +413,17 @@ def _limit_mp(birth_value, birth_level, iters=40):
 
 def _record(value, level, mult=1):
     return EigenvalueRecord(value, mult, Lineage(level, value))
+
+
+def limit_eigenvalue(record):
+    """The limit of one graph record: limit_spectrum's column loop over a
+    one-row table of it."""
+    lineage = record.lineage
+    row = SpectrumTable(
+        record.level, [record.value], [record.multiplicity],
+        [lineage.birth_level], [lineage.birth_value], [lineage.branches],
+    )
+    return decimation._limits(row, 1)[0]
 
 
 def test_smallest_limit_eigenvalue_matches_extended_precision():
