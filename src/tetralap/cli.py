@@ -32,7 +32,7 @@ from .fractal_graph import (
     vertex_coords,
 )
 from .energy import harmonic_family, harmonize
-from .laplacian import _neighbor_sums, renormalized_laplacian
+from .laplacian import renormalized_laplacian
 from .decimation import (
     DIMENSION_CONSTANTS,
     counting_json,
@@ -228,12 +228,7 @@ def _cmd_laplacian_check(args: argparse.Namespace) -> str:
     order = np.argsort(names)  # the order of Python's str sort
     probes, names = probes[order], names[order].tolist()
     levels = range(args.level, top + 1)
-    if x is None:
-        values = [renormalized_laplacian(u(m))[u(m).graph.indices_of(g)[probes] - 4]
-                  for m in levels]
-    else:  # one probe: its own entry, not the whole interior column
-        at = [u(m).graph.index_of(x) for m in levels]
-        values = [2.0 * 6.0 ** m * _neighbor_sums(u(m), i, i + 1) for m, i in zip(levels, at)]
+    values = [renormalized_laplacian(u(m), u(m).graph.indices_of(g)[probes]) for m in levels]
     return _csv("level,address,value",
                 [np.repeat(levels, len(names)).tolist(), names * len(levels),
                  np.concatenate(values).tolist()])

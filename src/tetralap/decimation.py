@@ -83,19 +83,12 @@ class Lineage:
     def level(self) -> int:
         return self.birth_level + len(self.branches)
 
-    def extended(self, branch: str) -> "Lineage":
-        return Lineage(self.birth_level, self.birth_value, self.branches + branch)
-
 
 @dataclass(frozen=True, slots=True)
 class EigenvalueRecord:
     value: float
     multiplicity: int
     lineage: Lineage
-
-    @property
-    def level(self) -> int:
-        return self.lineage.level
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +103,8 @@ class SpectrumTable:
     """The level-m spectrum as read-only columns, one row per record, in
     ascending value order; ``branches`` holds each row's Lineage.branches.
     The table reads as a sequence of ROW records (len, indexing, iteration).
-    A table refuses a row Lineage refuses, with Lineage's own error."""
+    A table refuses a row Lineage refuses, with Lineage's own error, an
+    integer past int64 and a multiplicity below 1."""
 
     #: Column name -> (JSON field, dtype); a row is one record.
     COLUMNS: ClassVar[dict[str, tuple[str, type]]] = {
@@ -131,16 +125,21 @@ class SpectrumTable:
 
     def __post_init__(self):
         for name, (field, dtype) in self.COLUMNS.items():
-            given = np.asarray(getattr(self, name))
-            if dtype is np.int64 and given.size and given.dtype.kind not in "iu":
-                raise TypeError(f"{field.replace('_', ' ')} must be an integer, "
-                                f"got {given.flat[0].item()!r}")
+            given, label = np.asarray(getattr(self, name)), field.replace("_", " ")
+            if dtype is np.int64 and given.dtype.kind != "i":  # Python scalars never wrap
+                for v in given.ravel().tolist():
+                    if not is_integer(v):
+                        raise TypeError(f"{label} must be an integer, got {v!r}")
+                    if not -2 ** 63 <= v < 2 ** 63:
+                        raise ValueError(f"{label} must fit int64, got {v}")
             column = np.asarray(given, dtype=dtype).view()
             if column.ndim != 1 or len(column) != len(self.values):
                 raise ValueError(f"{name} must be one-dimensional and as long as values, "
                                  f"got shape {column.shape}")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        if (least := self.multiplicities.min(initial=1)) < 1:
+            raise ValueError(f"multiplicity must be at least 1, got {least}")
         if np.isnan(self.values).any() or (self.values[1:] < self.values[:-1]).any():
             raise ValueError("values must ascend")
         for start in range(0, len(self), _BLOCK):

@@ -47,10 +47,6 @@ class VertexFunction:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("vertex values must be finite")
 
-    @classmethod
-    def zeros(cls, graph: LevelGraph) -> "VertexFunction":
-        return cls(graph, np.zeros(graph.n_vertices))
-
 
 def _owning(graph: LevelGraph, values: np.ndarray) -> VertexFunction:
     """VertexFunction(graph, values) without the copy, for a fresh float array

@@ -297,7 +297,7 @@ def level_graph(m: int, given: LevelGraph | None = None) -> LevelGraph:
 
 
 def refine(parent: LevelGraph, target: LevelGraph, values: np.ndarray, midpoints) -> np.ndarray:
-    """Values on the level-(m+1) graph from values on the level-m graph.
+    """Values on the checked level-(m+1) graph ``target`` from values on level m.
 
     Parent vertices keep their values.  ``midpoints(a, b, c, d)`` maps
     the corner-value columns of the parent cells to the six midpoint
@@ -306,7 +306,6 @@ def refine(parent: LevelGraph, target: LevelGraph, values: np.ndarray, midpoints
     parent corner j when i == j and at the midpoint of parent edge
     (i, j) otherwise.
     """
-    target = level_graph(parent.level + 1, target)
     child = target.cells.reshape(-1, 4, 4)
     corners = values[parent.cells]
     out = np.empty(target.n_vertices)

@@ -31,28 +31,38 @@ class VertexEstimate:
     value: float
 
 
-def _neighbor_sums(u: VertexFunction, start: int, stop: int) -> np.ndarray:
-    """Sum of u(y) - u(x) over the neighbors y of each x in start..stop-1, a range
-    of corners (3 neighbors each) or of interior vertices (6 each).  The
-    difference form keeps constants exactly in the kernel."""
+def _neighbor_sums(u: VertexFunction, at) -> np.ndarray:
+    """Sum of u(y) - u(x) over the neighbors y of each vertex x at ``at``: a
+    slice of corners (3 neighbors each) or of interior vertices (6 each),
+    read through views of the CSR rows, or interior vertex indices of any
+    shape, whose own rows alone are gathered from the (N - 4, 6) interior
+    rows.  The difference form keeps constants exactly in the kernel."""
     g = u.graph
-    degree = 3 if stop <= 4 else 6
-    rows = g.neighbor_idx[g.neighbor_ptr[start]:g.neighbor_ptr[stop]].reshape(-1, degree)
-    diffs = u.values[rows]  # a fresh gather, so one (n, degree) array is enough
-    diffs -= u.values[start:stop, None]
-    return np.sum(diffs, axis=1)
+    if isinstance(at, slice):
+        ptr = g.neighbor_ptr
+        rows = g.neighbor_idx[ptr[at.start]:ptr[at.stop]].reshape(-1, 3 if at.stop <= 4 else 6)
+    else:  # interior rows are 6 wide from entry 12, so no neighbor_ptr is built
+        rows = g.neighbor_idx[12:].reshape(-1, 6)[at - 4]
+    diffs = u.values[rows]  # a fresh gather, so one array is enough
+    diffs -= u.values[at][..., None]
+    return np.sum(diffs, axis=-1)
 
 
 def interior_laplacian(u: VertexFunction) -> np.ndarray:
     """Delta_m u over all interior vertices, aligned with graph.interior order."""
-    return _neighbor_sums(u, 4, u.graph.n_vertices)
+    return _neighbor_sums(u, slice(4, u.graph.n_vertices))
 
 
-def renormalized_laplacian(u: VertexFunction) -> np.ndarray:
-    """2 * 6^m * Delta_m u over all interior vertices, aligned with graph.interior
-    order.  It converges only for functions with a continuous Laplacian; callers
-    should inspect a profile across levels rather than trust a single m."""
-    return 2.0 * 6.0 ** u.graph.level * interior_laplacian(u)
+def renormalized_laplacian(u: VertexFunction, vertices) -> np.ndarray:
+    """2 * 6^m * Delta_m u at the interior vertex indices ``vertices`` (one
+    index or any int array-like, such as graph.interior), in their shape; only
+    their neighbor rows are read.  It converges only for functions with a
+    continuous Laplacian; callers should inspect a profile across levels
+    rather than trust a single m."""
+    at, n = np.asarray(vertices), u.graph.n_vertices
+    if at.dtype.kind not in "iu" or (at.size and (at.min() < 4 or at.max() >= n)):
+        raise ValueError(f"vertices must be interior indices 4..{n - 1}, got {vertices!r}")
+    return 2.0 * 6.0 ** u.graph.level * _neighbor_sums(u, at)
 
 
 def _at_level(u_source, m: int) -> VertexFunction:
@@ -68,7 +78,7 @@ def normal_derivative(u_source, x: Address, k: int) -> VertexEstimate:
     ``u_source`` maps a level to a VertexFunction (harmonic_family, eigenfunction_family)."""
     u = _at_level(u_source, k)
     idx = u.graph.index_of(x)
-    flux = -float(_neighbor_sums(u, idx, idx + 1)[0])
+    flux = -float(_neighbor_sums(u, slice(idx, idx + 1))[0])
     return VertexEstimate(level=k, vertex=canonicalize(x), value=1.5 ** k * flux)
 
 
@@ -84,5 +94,5 @@ def gauss_green_residual(u: VertexFunction, v: VertexFunction) -> float:
     scale = 1.5 ** g.level
     lhs = scale * energy_bilinear(u, v)
     interior_term = -scale * float(np.sum(v.values[4:] * interior_laplacian(u)))
-    boundary_term = float(np.sum(scale * v.values[:4] * -_neighbor_sums(u, 0, 4)))
+    boundary_term = float(np.sum(scale * v.values[:4] * -_neighbor_sums(u, slice(0, 4))))
     return lhs - (interior_term + boundary_term)

@@ -232,7 +232,7 @@ def test_criterion_11_pointwise_laplacian_consistency(graphs, oracle_decomps):
         errs = []
         for m in (3, 4, 5):
             um = fam(m)
-            estimate = renormalized_laplacian(um)[um.graph.indices_of(u3.graph)[x_idx] - 4]
+            estimate = renormalized_laplacian(um, um.graph.indices_of(u3.graph)[x_idx])
             errs.append(abs(estimate - target) / abs(target))
         monotone = errs[0] > errs[1] > errs[2]
         all_monotone = all_monotone and monotone

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tetralap import decimation, fractal_graph, spectrum_from_json, enumerate_spectrum
+from tetralap import decimation, fractal_graph, laplacian, spectrum_from_json, enumerate_spectrum
 from tetralap.cli import OUTDIR_ENV, _json_text, _parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -422,6 +422,28 @@ def test_laplacian_check_canonicalizes_the_vertex(capsys):
     assert code == 0
     assert spelled.encode() == run_cli(capsys, *argv, "0:1")[1].encode()
     assert spelled.splitlines()[1].startswith("2,0:1,")
+
+
+def test_laplacian_check_vertex_rows_are_rows_of_the_interior_document(capsys):
+    argv = ["laplacian-check", "--boundary", "0.3,-0.7,0.2,0.9", "--level", "2", "--depth", "3"]
+    code, whole, _ = run_cli(capsys, *argv)
+    assert code == 0
+    for spelled, name in (("13:2", "12:3"), ("0:1", "0:1")):  # 13:2 spells 12:3
+        code, one, _ = run_cli(capsys, *argv, "--vertex", spelled)
+        assert code == 0
+        rows = [r for r in whole.splitlines()[1:] if r.split(",")[1] == name]
+        assert len(rows) == 4 and one.splitlines()[1:] == rows
+
+
+def test_laplacian_check_never_computes_a_whole_column(capsys, monkeypatch):
+    def whole_column(u):
+        raise AssertionError("interior_laplacian called")
+
+    monkeypatch.setattr(laplacian, "interior_laplacian", whole_column)
+    for extra in ((), ("--vertex", "0:1")):
+        code, out, err = run_cli(capsys, "laplacian-check", "--level", "1", "--depth", "4", *extra)
+        assert code == 0, err
+        assert out.startswith("level,address,value\n1,0:1,")
 
 
 def test_io_error_exit_code(tmp_path, capsys):

@@ -200,7 +200,7 @@ def test_limit_table_item_builds_one_row(build):
     table = build()
     first, last = table[0], table[-1]
     assert "records" not in vars(table)  # no other row was built
-    assert isinstance(first, EigenvalueRecord) and first.level == first.lineage.level
+    assert isinstance(first, EigenvalueRecord)
     assert type(first) is table.ROW
     part, backward = table[3:9], table[::-1]
     assert "records" not in vars(table)  # a slice builds its own rows only
@@ -325,6 +325,18 @@ def test_integer_columns_refuse_floats_and_bools(column, bad):
     assert len(SpectrumTable(1, [], [], [], [], [])) == 0
 
 
+def test_spectrum_table_refuses_multiplicities_below_one_or_past_int64():
+    # a uint64 column past int64 would wrap to a negative count, and a
+    # negative count would go on into counting_function and the documents
+    for mults, want in ((np.array([2 ** 63], np.uint64), "fit int64, got 9223372036854775808"),
+                        ([2 ** 64], "fit int64, got 18446744073709551616"),
+                        ([-1], "be at least 1, got -1"), ([0], "be at least 1, got 0")):
+        with pytest.raises(ValueError, match=f"multiplicity must {want}$"):
+            SpectrumTable(1, [2.0], mults, [1], [2.0], [""])
+    table = SpectrumTable(1, [2.0], np.array([1], np.uint64), [1], [2.0], [""])
+    assert table.multiplicities.tolist() == [1]
+
+
 def test_spectrum_table_refuses_ragged_columns():
     # a second value without a second row would drop out of records and
     # JSON, and counting_function would fail on it with an IndexError
@@ -362,8 +374,7 @@ def test_no_value_two_beyond_level_one():
 
 
 def test_lineage_branches_are_one_string():
-    lineage = Lineage(1, 2.0).extended("-").extended("+")
-    assert lineage.branches == "-+"
+    lineage = Lineage(1, 2.0, "-+")
     assert lineage.level == 3
     assert _replay(lineage) == _child(_child(2.0, "-"), "+")
 
@@ -420,7 +431,7 @@ def limit_eigenvalue(record):
     one-row table of it."""
     lineage = record.lineage
     row = SpectrumTable(
-        record.level, [record.value], [record.multiplicity],
+        lineage.level, [record.value], [record.multiplicity],
         [lineage.birth_level], [lineage.birth_value], [lineage.branches],
     )
     return decimation._limits(row, 1)[0]
@@ -538,7 +549,7 @@ def test_limit_spectrum_matches_scalar_walk(births):
     # both entry points, the whole table and one record at a time
     expected = []
     for rec in enumerate_spectrum(births).records:
-        value, generations, added = _limit_walk(rec.value, rec.level)
+        value, generations, added = _limit_walk(rec.value, rec.lineage.level)
         expected.append((value, rec.multiplicity, rec.lineage.branches + added, generations))
         assert _limit_row(limit_eigenvalue(rec)) == expected[-1]
     expected.sort(key=lambda row: row[0])
@@ -613,7 +624,7 @@ def test_extend_explicit_level1_eigenfunction(graphs):
 
 
 def test_extend_zero_is_zero(graphs):
-    u = VertexFunction.zeros(graphs(1))
+    u = VertexFunction(graphs(1), np.zeros(10))
     ext = eigenfunction_extend(u, _child(2.0, "-"), target=graphs(2))
     assert np.all(ext.values == 0.0)
 
@@ -627,7 +638,7 @@ def test_extend_eight_to_four(graphs, oracle_decomps):
 
 
 def test_extend_rejects_forbidden(graphs):
-    u = VertexFunction.zeros(graphs(1))
+    u = VertexFunction(graphs(1), np.zeros(10))
     for lam in (2.0, 6.0, 8.0):
         with pytest.raises(ForbiddenEigenvalueError):
             eigenfunction_extend(u, lam)

@@ -300,7 +300,7 @@ def test_boundary_must_be_four_numbers():
 
 
 def test_letters_must_be_integers(graphs):
-    u = VertexFunction.zeros(graphs(1))
+    u = VertexFunction(graphs(1), np.zeros(10))
     for letter in (1.0, True, np.float64(1.0), np.bool_(True)):
         with pytest.raises(ValueError, match="integers in 0..3"):
             Address((0,), letter)

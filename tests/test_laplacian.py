@@ -75,13 +75,24 @@ def test_interior_laplacian_alignment(graphs, m):
     vec = interior_laplacian(u)
     for k, v in enumerate(g.interior):
         assert vec[k] == np.sum(u.values[neighbors(g, v)] - u.values[v])
-    # the renormalized column is the per-vertex 2 * 6^m * Delta_m u(x), bit for bit
-    assert renormalized_laplacian(u).tobytes() == np.array(
-        [2.0 * 6.0 ** m * float(vec[k]) for k in range(len(vec))]
-    ).tobytes()
+    # at any index set, unsorted and with repeats, or at one index, the
+    # renormalized Laplacian is the per-vertex 2 * 6^m * Delta_m u(x), bit for bit
+    picks = rng.choice(g.interior, size=len(g.interior) + 3)
+    for at in (g.interior, picks, picks.tolist(), picks[:1]):
+        want = [2.0 * 6.0 ** m * float(vec[v - 4]) for v in at]
+        assert renormalized_laplacian(u, at).tobytes() == np.array(want).tobytes()
+    assert renormalized_laplacian(u, int(picks[0])) == 2.0 * 6.0 ** m * float(vec[picks[0] - 4])
     for b in g.boundary:
         flux = np.sum(u.values[b] - u.values[neighbors(g, b)])
         assert normal_derivative(lambda k: u, Address((), b), m).value == 1.5 ** m * flux
+
+
+def test_renormalized_laplacian_refuses_non_interior_indices():
+    u = harmonize((1, 0, 0, 0), 2)
+    n = u.graph.n_vertices
+    for at in (0, 1, 2, 3, -1, n, [5, 3], np.array([4, n]), [4.0], True):
+        with pytest.raises(ValueError, match="interior indices"):
+            renormalized_laplacian(u, at)
 
 
 # --- pointwise estimates -----------------------------------------------------
@@ -94,14 +105,14 @@ def test_pointwise_laplacian_harmonic_is_negligible(graphs):
     x = Address((0,), 1)
     for m in range(1, 6):
         u = fam(m)
-        assert abs(renormalized_laplacian(u)[u.graph.index_of(x) - 4]) < 1e-9
+        assert abs(renormalized_laplacian(u, u.graph.index_of(x))) < 1e-9
 
 
 def test_pointwise_laplacian_constant_zero(graphs):
     fam = harmonic_family((5, 5, 5, 5))
     for m in (1, 2, 3):
         u = fam(m)
-        assert renormalized_laplacian(u)[u.graph.index_of(Address((0,), 1)) - 4] == 0.0
+        assert renormalized_laplacian(u, u.graph.index_of(Address((0,), 1))) == 0.0
         assert u.graph.level == m
 
 
@@ -209,5 +220,5 @@ def test_gauss_green_harmonic_leaves_boundary_term(graphs):
 def test_gauss_green_graph_mismatch(graphs):
     with pytest.raises(ValueError):
         gauss_green_residual(
-            VertexFunction.zeros(graphs(1)), VertexFunction.zeros(graphs(2))
+            VertexFunction(graphs(1), np.zeros(10)), VertexFunction(graphs(2), np.zeros(34))
         )

@@ -109,9 +109,10 @@ def test_refinement_rejects_wrong_target(graphs):
                  id="harmonize-level0"),
     pytest.param(lambda g, d: harmonize((1, 0, 0, 0), 2, graphs={2: g(3)}), r"is not 2\b",
                  id="harmonize"),
-    pytest.param(lambda g, d: cell_restriction(VertexFunction.zeros(g(2)), 0, target=g(2)),
+    pytest.param(lambda g, d: cell_restriction(VertexFunction(g(2), np.zeros(34)), 0, target=g(2)),
                  r"is not 1\b", id="cell_restriction"),
-    pytest.param(lambda g, d: eigenfunction_extend(VertexFunction.zeros(g(1)), 1.0, target=g(3)),
+    pytest.param(lambda g, d: eigenfunction_extend(VertexFunction(g(1), np.zeros(10)), 1.0,
+                                                   target=g(3)),
                  r"is not 2\b", id="eigenfunction_extend"),
     pytest.param(lambda g, d: assemble(2, graph=g(3)), r"is not 2\b", id="assemble"),
     pytest.param(lambda g, d: born_eigenbasis(2, 6.0, graph=g(3)), r"is not 2\b",
