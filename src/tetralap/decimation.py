@@ -126,8 +126,8 @@ class SpectrumTable:
     def __post_init__(self):
         for name, (field, dtype) in self.COLUMNS.items():
             given, label = np.asarray(getattr(self, name)), field.replace("_", " ")
-            if dtype is np.int64 and given.dtype.kind != "i":  # Python scalars never wrap
-                for v in given.ravel().tolist():
+            if dtype is np.int64 and given.dtype.kind != "i":  # the input's own scalars, unconverted
+                for v in np.asarray(getattr(self, name), dtype=object).ravel().tolist():
                     if not is_integer(v):
                         raise TypeError(f"{label} must be an integer, got {v!r}")
                     if not -2 ** 63 <= v < 2 ** 63:

@@ -38,11 +38,12 @@ CORNER_COORDS = np.array(
     ]
 )
 
-#: Default construction cap.  With all five tables read, a level graph peaks
-#: at 173, 173, 182 and 168 bytes per vertex at levels 8 to 11 (each in a
-#: fresh process, by resource.getrusage, above the RSS after import), so
-#: N_11 = 8.4e6 vertices take about 1.4 GB.  N_12 = 3.4e7 would take about
-#: 6 GB, most of a 7.5 GB machine; its int64 tables alone hold 4.3 GB.
+#: Default construction cap.  With all four tables read, a level graph peaks
+#: at 173, 173 and 182 bytes per vertex at levels 8 to 10 (each in a fresh
+#: process, by resource.getrusage, above the RSS after import; the edge build
+#: sets the peak), so N_11 = 8.4e6 vertices take about 1.5 GB.  N_12 = 3.4e7
+#: would take about 6 GB, most of a 7.5 GB machine; its int64 tables alone
+#: hold 4.0 GB.
 DEFAULT_LEVEL_CAP = 11
 
 
@@ -114,11 +115,12 @@ class LevelGraph:
     ``keys`` are the ascending _address_key values of the vertices, corners
     first.  ``cells[k]`` holds the corners j = 0..3 of the cell whose word is
     the k-th word of length m in product order; ``edges`` the sorted (i, j)
-    pairs with i < j; and
-    ``neighbor_idx[neighbor_ptr[v]:neighbor_ptr[v + 1]]`` the ascending
-    neighbors of v.  ``keys`` and ``cells`` are built with the graph; the
-    edge and neighbor tables are built on first read, since most graphs
-    are only read through their cells, and each read returns that one array.
+    pairs with i < j; and ``neighbors[v]`` the ascending neighbors of v, six
+    of them, or a corner's three and then the corner itself three times, so
+    that a sum of u(w) - u(v) over a row adds nothing for the repeats.
+    ``keys`` and ``cells`` are built with the graph; the edge and neighbor
+    tables are built on first read, since most graphs are only read through
+    their cells, and each read returns that one array.
     """
 
     level: int
@@ -131,29 +133,18 @@ class LevelGraph:
         _read_only(self.cells)
 
     @functools.cached_property
-    def neighbor_idx(self) -> np.ndarray:
+    def neighbors(self) -> np.ndarray:
         return _read_only(_neighbor_rows(self.level))
-
-    @functools.cached_property
-    def neighbor_ptr(self) -> np.ndarray:
-        """0, 3, 6, 9 for the corners, then 12 and 6 more per vertex."""
-        end = 6 * self.n_vertices - 12
-        return _read_only(np.concatenate([np.arange(0, 12, 3), np.arange(12, end + 1, 6)]))
 
     @functools.cached_property
     def edges(self) -> np.ndarray:
         """The entries w > v of every neighbor row v, as (v, w), row by row."""
-        n, idx = self.n_vertices, self.neighbor_idx
-        edges = np.empty((3 * n - 6, 2), np.int64)
-        end = 0
-        for first, rows in ((0, idx[:12].reshape(4, 3)), (4, idx[12:].reshape(-1, 6))):
-            at = (rows > np.arange(first, first + len(rows))[:, None]).ravel().nonzero()[0]
-            stop = end + len(at)
-            edges[end:stop, 1] = rows.ravel()[at]
-            at //= rows.shape[1]
-            at += first
-            edges[end:stop, 0] = at
-            end = stop
+        rows = self.neighbors
+        edges = np.empty((3 * self.n_vertices - 6, 2), np.int64)
+        at = (rows > np.arange(len(rows))[:, None]).ravel().nonzero()[0]
+        edges[:, 1] = rows.ravel()[at]
+        at //= 6
+        edges[:, 0] = at
         return _read_only(edges)
 
     @property
@@ -239,8 +230,9 @@ def _four_copies(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _neighbor_rows(m: int) -> np.ndarray:
-    """neighbor_idx of level m: the corner rows (4, 3), then the other rows
-    (N_m - 4, 6), each row ascending, built from level m-1's rows.
+    """The (N_m, 6) neighbor table of level m, built from level m-1's: each
+    row ascends, and a corner's three neighbors fill slots 0-2 and the
+    corner itself slots 3-5.
 
     A vertex of copy i other than its corners keeps its row, mapped by copy
     i; that keeps it ascending except in the three rows next to corner i,
@@ -249,26 +241,26 @@ def _neighbor_rows(m: int) -> np.ndarray:
     copy lo with corner lo's row in copy hi.  Only the 12 rows next to a
     corner and the 6 junction rows are sorted.
     """
-    idx = np.array([[j for j in LETTERS if j != i] for i in LETTERS]).ravel()
+    rows = np.array([[j for j in LETTERS if j != i] + [i] * 3 for i in LETTERS])
     for copy in _copy_maps(m):
-        corner, inner = idx[:12].reshape(4, 3), idx[12:].reshape(-1, 6)
-        idx = np.empty(24 * copy.shape[1] - 48, np.int64)
-        rows = idx[12:].reshape(-1, 6)
+        corner, inner = rows[:4, :3], rows[4:]
+        rows = np.empty((4 * copy.shape[1] - 6, 6), np.int64)
         mapped = copy[:, corner]  # mapped[i, b] is corner b's row in copy i
-        near = mapped[_DIAGONAL, _DIAGONAL].ravel()
-        idx[:12] = near
+        near = mapped[_DIAGONAL, _DIAGONAL]
+        rows[:4, :3] = near
+        rows[:4, 3:] = _DIAGONAL[:, None]
         if len(inner):
             for i in LETTERS:  # copy i's vertices 4.. are one ascending block
-                first = copy[i, 4] - 4
+                first = copy[i, 4]
                 # every index is in range; "clip" writes to out unbuffered, "raise" would not
                 copy[i].take(inner, out=rows[first:first + len(inner)], mode="clip")
-            nearby = rows[near - 4]
-            nearby.sort(axis=1)
-            rows[near - 4] = nearby
+            nearby = rows[near]
+            nearby.sort(axis=-1)
+            rows[near] = nearby
         junctions = mapped[_PAIRS, _PAIRS[:, ::-1]].reshape(6, 6)
         junctions.sort(axis=1)
-        rows[copy[_LO, _HI] - 4] = junctions
-    return idx
+        rows[copy[_LO, _HI]] = junctions
+    return rows
 
 
 def build_level(m: int) -> LevelGraph:

@@ -32,18 +32,12 @@ class VertexEstimate:
 
 
 def _neighbor_sums(u: VertexFunction, at) -> np.ndarray:
-    """Sum of u(y) - u(x) over the neighbors y of each vertex x at ``at``: a
-    slice of corners (3 neighbors each) or of interior vertices (6 each),
-    read through views of the CSR rows, or interior vertex indices of any
-    shape, whose own rows alone are gathered from the (N - 4, 6) interior
-    rows.  The difference form keeps constants exactly in the kernel."""
-    g = u.graph
-    if isinstance(at, slice):
-        ptr = g.neighbor_ptr
-        rows = g.neighbor_idx[ptr[at.start]:ptr[at.stop]].reshape(-1, 3 if at.stop <= 4 else 6)
-    else:  # interior rows are 6 wide from entry 12, so no neighbor_ptr is built
-        rows = g.neighbor_idx[12:].reshape(-1, 6)[at - 4]
-    diffs = u.values[rows]  # a fresh gather, so one array is enough
+    """Sum of u(y) - u(x) over the neighbors y of each vertex x at ``at``, a
+    slice, read through a view of the neighbor rows, or vertex indices of any
+    shape, whose own rows alone are gathered.  A corner's row repeats the
+    corner, and u(x) - u(x) adds nothing.  The difference form keeps
+    constants exactly in the kernel."""
+    diffs = u.values[u.graph.neighbors[at]]  # a fresh gather, so one array is enough
     diffs -= u.values[at][..., None]
     return np.sum(diffs, axis=-1)
 
@@ -77,8 +71,7 @@ def normal_derivative(u_source, x: Address, k: int) -> VertexEstimate:
     """Boundary-flux estimate (3/2)^k * sum over level-k neighbors of u(x) - u(y);
     ``u_source`` maps a level to a VertexFunction (harmonic_family, eigenfunction_family)."""
     u = _at_level(u_source, k)
-    idx = u.graph.index_of(x)
-    flux = -float(_neighbor_sums(u, slice(idx, idx + 1))[0])
+    flux = -float(_neighbor_sums(u, u.graph.index_of(x)))
     return VertexEstimate(level=k, vertex=canonicalize(x), value=1.5 ** k * flux)
 
 

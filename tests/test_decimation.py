@@ -333,6 +333,9 @@ def test_spectrum_table_refuses_multiplicities_below_one_or_past_int64():
                         ([-1], "be at least 1, got -1"), ([0], "be at least 1, got 0")):
         with pytest.raises(ValueError, match=f"multiplicity must {want}$"):
             SpectrumTable(1, [2.0], mults, [1], [2.0], [""])
+    # numpy reads this list as float64, which must not hide the value past int64
+    with pytest.raises(ValueError, match="multiplicity must fit int64, got 9223372036854775808$"):
+        SpectrumTable(1, [2.0, 3.0], [2 ** 63, 1], [1, 1], [2.0, 2.0], ["", ""])
     table = SpectrumTable(1, [2.0], np.array([1], np.uint64), [1], [2.0], [""])
     assert table.multiplicities.tolist() == [1]
 

@@ -34,9 +34,11 @@ from tetralap import fractal_graph
 
 
 def neighbors(g, v: int) -> list[int]:
-    """The neighbors of vertex v: row v of the CSR neighbor table; IndexError
-    past the last vertex, which has no row."""
-    return g.neighbor_idx[g.neighbor_ptr[v]:g.neighbor_ptr[v + 1]].tolist()
+    """The neighbors of vertex v: the entries of row v of the neighbor table
+    other than v itself, which pads a corner's row; IndexError past the last
+    vertex, which has no row."""
+    row = g.neighbors[v]
+    return row[row != v].tolist()
 
 
 def embed_address(a: Address) -> np.ndarray:
@@ -270,7 +272,9 @@ def test_indices_of_matches_index_of(graphs, m):
         graphs(m - 1).indices_of(g)
 
 
-#: sha256 of the five LevelGraph tables' bytes, in field order, measured on the
+#: sha256 of keys, cells, edges, the cumulative degrees and the real entries of
+#: the neighbor rows, in that order (the five tables of a layout that kept the
+#: neighbors as one flat array of rows and their offsets), measured on the
 #: earlier build that canonicalized every cell corner and ran np.unique
 LEVEL_TABLE_DIGESTS = {
     6: "81d643c88b7b5c9ba67007b42c16371c242ee0f5e40ba7aff4304413bb64f90d",
@@ -285,19 +289,22 @@ LEVEL_TABLE_DIGESTS = {
 def test_level_tables_are_pinned(m):
     g = build_level(m)  # not the session fixture: level 10 holds 270 MB of tables
     n, cells = 2 * (4 ** m + 1), 4 ** m
-    shapes = {"keys": (n,), "cells": (cells, 4), "edges": (6 * cells, 2),
-              "neighbor_ptr": (n + 1,), "neighbor_idx": (12 * cells,)}
-    sha = hashlib.sha256()
+    shapes = {"keys": (n,), "cells": (cells, 4), "edges": (6 * cells, 2), "neighbors": (n, 6)}
     for name, shape in shapes.items():
         table = getattr(g, name)
         assert (table.dtype, table.shape) == (np.int64, shape), name
+    degrees = np.full(n, 6)
+    degrees[:4] = 3
+    rows = g.neighbors
+    sha = hashlib.sha256()
+    for table in (g.keys, g.cells, g.edges, np.cumsum(np.r_[0, degrees]), rows[:4, :3], rows[4:]):
         sha.update(table.tobytes())
     assert sha.hexdigest() == LEVEL_TABLE_DIGESTS[m]
 
 
 def test_neighbor_tables_are_built_once_and_read_only():
     g = build_level(3)
-    for name in ("edges", "neighbor_ptr", "neighbor_idx"):
+    for name in ("edges", "neighbors"):
         table = getattr(g, name)
         assert getattr(g, name) is table, name
         with pytest.raises(ValueError):
@@ -305,12 +312,15 @@ def test_neighbor_tables_are_built_once_and_read_only():
 
 
 @pytest.mark.parametrize("m", range(9))
-def test_neighbor_ptr_is_the_cumulative_degrees(m):
+def test_neighbor_row_layout(m):
     g = build_level(m)
-    degrees = np.full(g.n_vertices, 6)
-    degrees[:4] = 3
-    assert g.neighbor_ptr.tolist() == [0, *np.cumsum(degrees).tolist()]
-    assert len(g.neighbor_idx) == g.neighbor_ptr[-1]
+    rows = g.neighbors
+    own = rows == np.arange(g.n_vertices)[:, None]
+    assert own[:4].tolist() == [[False] * 3 + [True] * 3] * 4
+    assert not own[4:].any()
+    assert (np.diff(rows[:4, :3]) > 0).all() and (np.diff(rows[4:]) > 0).all()
+    degrees = np.count_nonzero(~own, axis=1)
+    assert (degrees[:4] == 3).all() and (degrees[4:] == 6).all()
 
 
 def test_extension_restriction_and_export_build_no_neighbor_table(monkeypatch):

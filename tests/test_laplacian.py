@@ -13,6 +13,7 @@ import pytest
 from tetralap import (
     Address,
     VertexFunction,
+    build_level,
     energy_bilinear,
     gauss_green_residual,
     harmonic_family,
@@ -71,20 +72,37 @@ def test_interior_laplacian_alignment(graphs, m):
     # magnitudes from 1e-5 to 1e5 with both signs, so any change in the
     # order of the neighbor sum shows in the last bits
     signs = rng.choice([-1.0, 1.0], size=g.n_vertices)
-    u = VertexFunction(g, signs * 10.0 ** rng.uniform(-5.0, 5.0, size=g.n_vertices))
-    vec = interior_laplacian(u)
-    for k, v in enumerate(g.interior):
-        assert vec[k] == np.sum(u.values[neighbors(g, v)] - u.values[v])
-    # at any index set, unsorted and with repeats, or at one index, the
-    # renormalized Laplacian is the per-vertex 2 * 6^m * Delta_m u(x), bit for bit
-    picks = rng.choice(g.interior, size=len(g.interior) + 3)
-    for at in (g.interior, picks, picks.tolist(), picks[:1]):
-        want = [2.0 * 6.0 ** m * float(vec[v - 4]) for v in at]
-        assert renormalized_laplacian(u, at).tobytes() == np.array(want).tobytes()
-    assert renormalized_laplacian(u, int(picks[0])) == 2.0 * 6.0 ** m * float(vec[picks[0] - 4])
-    for b in g.boundary:
-        flux = np.sum(u.values[b] - u.values[neighbors(g, b)])
-        assert normal_derivative(lambda k: u, Address((), b), m).value == 1.5 ** m * flux
+    # and +0.0 at the corners against -0.0 elsewhere, so that the repeated
+    # corner in a corner's row shows if it changes the sign of a zero sum
+    zeros = np.full(g.n_vertices, -0.0)
+    zeros[:4] = 0.0
+    for values in (signs * 10.0 ** rng.uniform(-5.0, 5.0, size=g.n_vertices), zeros):
+        u = VertexFunction(g, values)
+        vec = interior_laplacian(u)
+        want = [np.sum(u.values[neighbors(g, v)] - u.values[v]) for v in g.interior]
+        assert vec.tobytes() == np.array(want).tobytes()
+        # at any index set, unsorted and with repeats, or at one index, the
+        # renormalized Laplacian is the per-vertex 2 * 6^m * Delta_m u(x), bit for bit
+        picks = rng.choice(g.interior, size=len(g.interior) + 3)
+        for at in (g.interior, picks, picks.tolist(), picks[:1]):
+            want = [2.0 * 6.0 ** m * float(vec[v - 4]) for v in at]
+            assert renormalized_laplacian(u, at).tobytes() == np.array(want).tobytes()
+        assert renormalized_laplacian(u, int(picks[0])) == 2.0 * 6.0 ** m * float(vec[picks[0] - 4])
+        # a corner's flux is its 3-term neighbor sum, bit for bit
+        for b in g.boundary:
+            flux = -float(np.sum(u.values[neighbors(g, b)] - u.values[b]))
+            got = normal_derivative(lambda k: u, Address((), b), m).value
+            assert np.float64(got).tobytes() == np.float64(1.5 ** m * flux).tobytes()
+
+
+def test_laplacian_reads_build_only_the_neighbor_table():
+    g = build_level(3)
+    u = VertexFunction(g, np.linspace(-1.0, 1.0, g.n_vertices))
+    before = set(vars(g))
+    interior_laplacian(u)
+    renormalized_laplacian(u, [4, 9])
+    normal_derivative(lambda k: u, Address((), 2), 3)
+    assert set(vars(g)) - before == {"neighbors"}
 
 
 def test_renormalized_laplacian_refuses_non_interior_indices():
