@@ -5,6 +5,7 @@ a dense eigensolver."""
 from .fractal_graph import (
     Address,
     CELL_MIDPOINT_PAIRS,
+    CHILD_CORNERS,
     CORNER_COORDS,
     LevelCapError,
     LevelGraph,

@@ -238,10 +238,10 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> str:
     oracle_values = oracle.jacobi_eigen(oracle.assemble(args.level)).values.tolist()
     table = enumerate_spectrum(args.level)
     expanded = np.repeat(table.values, table.multiplicities).tolist()  # ascending, as floats
-    rows = [
-        (args.level, i, ov, dv, abs(ov - dv))
-        for i, (ov, dv) in enumerate(zip(oracle_values, expanded))
-    ]
+    if len(oracle_values) != len(expanded):
+        raise ValueError(f"the oracle has {len(oracle_values)} eigenvalues, decimation {len(expanded)}")
+    rows = [(args.level, i, ov, dv, abs(ov - dv))
+            for i, (ov, dv) in enumerate(zip(oracle_values, expanded))]
     worst = max(row[-1] for row in rows)
     if worst > ORACLE_TOL:
         raise ValueError(

@@ -103,8 +103,11 @@ class SpectrumTable:
     """The level-m spectrum as read-only columns, one row per record, in
     ascending value order; ``branches`` holds each row's Lineage.branches.
     The table reads as a sequence of ROW records (len, indexing, iteration).
-    A table refuses a row Lineage refuses, with Lineage's own error, an
-    integer past int64 and a multiplicity below 1."""
+    A numeric column given as an ndarray of its own dtype kind is taken as it
+    is; any other is read by its own scalars, of which an integer column takes
+    only integers and a float column no bool or string.  Past those checks a
+    table refuses a row Lineage refuses, with Lineage's own error, an integer
+    past int64 and a multiplicity below 1."""
 
     #: Column name -> (JSON field, dtype); a row is one record.
     COLUMNS: ClassVar[dict[str, tuple[str, type]]] = {
@@ -125,12 +128,13 @@ class SpectrumTable:
 
     def __post_init__(self):
         for name, (field, dtype) in self.COLUMNS.items():
-            given, label = np.asarray(getattr(self, name)), field.replace("_", " ")
-            if dtype is np.int64 and given.dtype.kind != "i":  # the input's own scalars, unconverted
-                for v in np.asarray(getattr(self, name), dtype=object).ravel().tolist():
-                    if not is_integer(v):
-                        raise TypeError(f"{label} must be an integer, got {v!r}")
-                    if not -2 ** 63 <= v < 2 ** 63:
+            given, label, kind = getattr(self, name), field.replace("_", " "), np.dtype(dtype).kind
+            if kind in "if" and not (isinstance(given, np.ndarray) and given.dtype.kind == kind):
+                wanted = "an integer" if kind == "i" else "a real number"
+                for v in np.asarray(given, dtype=object).ravel().tolist():  # its own scalars
+                    if isinstance(v, (bool, np.bool_, str, bytes)) or kind == "i" and not is_integer(v):
+                        raise TypeError(f"{label} must be {wanted}, got {v!r}")
+                    if kind == "i" and not -2 ** 63 <= v < 2 ** 63:
                         raise ValueError(f"{label} must fit int64, got {v}")
             column = np.asarray(given, dtype=dtype).view()
             if column.ndim != 1 or len(column) != len(self.values):
@@ -160,9 +164,9 @@ class SpectrumTable:
         """The JSON field of each column, in COLUMNS order."""
         return [field for field, _ in self.COLUMNS.values()]
 
-    def rows(self, rows=slice(None)):
-        """The selected rows as tuples of Python scalars, in COLUMNS order."""
-        return zip(*_scalars(getattr(self, name)[rows] for name in self.COLUMNS))
+    def rows(self):
+        """The rows as tuples of Python scalars, in COLUMNS order."""
+        return zip(*_scalars(getattr(self, name) for name in self.COLUMNS))
 
     def _build(self, rows=slice(None)) -> list:
         """The selected rows as ROW records, as ROW(value, multiplicity,

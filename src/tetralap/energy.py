@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractal_graph import LevelGraph, is_letter, level_graph, refine
+from .fractal_graph import CHILD_CORNERS, LevelGraph, is_letter, level_graph
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,11 @@ def eigenfunction_extend(u: VertexFunction, lambda_m: float, *,
             "dense-oracle kernel (born_eigenbasis), not from extension"
         )
     target = level_graph(u.graph.level + 1, target)
-    midpoints = functools.partial(extension_cell, lambda_m)
-    return _owning(target, refine(u.graph, target, u.values, midpoints))
+    corners = u.values[u.graph.cells].T
+    out = np.empty(target.n_vertices)
+    for (i, j), column in zip(CHILD_CORNERS, [*corners, *extension_cell(lambda_m, *corners)]):
+        out[target.cells.reshape(-1, 4, 4)[:, i, j]] = column
+    return _owning(target, out)
 
 
 def harmonize(boundary, m: int, *, graphs=None) -> VertexFunction:

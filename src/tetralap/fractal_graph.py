@@ -27,6 +27,12 @@ LETTERS = (0, 1, 2, 3)
 #: x_4 on (P0,P3), x_5 on (P1,P3), x_6 on (P2,P3).
 CELL_MIDPOINT_PAIRS = ((0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3))
 
+#: Entry n is the (child i, corner j) at which a cell's n-th level-(m+1)
+#: vertex sits: first its corners P_0..P_3, then x_1..x_6.  Cell words are in
+#: product order, so child cell 4k+i of cell k has corner j at parent corner
+#: j when i == j and at the midpoint of parent edge (i, j) otherwise.
+CHILD_CORNERS = tuple((j, j) for j in LETTERS) + CELL_MIDPOINT_PAIRS
+
 #: Regular tetrahedron with unit edge length. The spectrum and all
 #: energies are embedding-independent; coordinates feed exports only.
 CORNER_COORDS = np.array(
@@ -286,26 +292,6 @@ def level_graph(m: int, given: LevelGraph | None = None) -> LevelGraph:
     if given.level != m:
         raise ValueError(f"target level {given.level} is not {m}")
     return given
-
-
-def refine(parent: LevelGraph, target: LevelGraph, values: np.ndarray, midpoints) -> np.ndarray:
-    """Values on the checked level-(m+1) graph ``target`` from values on level m.
-
-    Parent vertices keep their values.  ``midpoints(a, b, c, d)`` maps
-    the corner-value columns of the parent cells to the six midpoint
-    columns, in CELL_MIDPOINT_PAIRS order.  Because cell words are in
-    product order, child cell 4k+i of parent cell k has corner j at
-    parent corner j when i == j and at the midpoint of parent edge
-    (i, j) otherwise.
-    """
-    child = target.cells.reshape(-1, 4, 4)
-    corners = values[parent.cells]
-    out = np.empty(target.n_vertices)
-    for j in LETTERS:
-        out[child[:, j, j]] = corners[:, j]
-    for (i, j), column in zip(CELL_MIDPOINT_PAIRS, midpoints(*corners.T)):
-        out[child[:, i, j]] = column
-    return out
 
 
 def vertex_coords(g: LevelGraph) -> np.ndarray:

@@ -59,18 +59,12 @@ def renormalized_laplacian(u: VertexFunction, vertices) -> np.ndarray:
     return 2.0 * 6.0 ** u.graph.level * _neighbor_sums(u, at)
 
 
-def _at_level(u_source, m: int) -> VertexFunction:
-    """u_source(m), checked to be a level-m function."""
-    u = u_source(m)
-    if u.graph.level != m:
-        raise ValueError(f"u_source({m}) returned a level-{u.graph.level} function")
-    return u
-
-
 def normal_derivative(u_source, x: Address, k: int) -> VertexEstimate:
     """Boundary-flux estimate (3/2)^k * sum over level-k neighbors of u(x) - u(y);
     ``u_source`` maps a level to a VertexFunction (harmonic_family, eigenfunction_family)."""
-    u = _at_level(u_source, k)
+    u = u_source(k)
+    if u.graph.level != k:
+        raise ValueError(f"u_source({k}) returned a level-{u.graph.level} function")
     flux = -float(_neighbor_sums(u, u.graph.index_of(x)))
     return VertexEstimate(level=k, vertex=canonicalize(x), value=1.5 ** k * flux)
 

@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism, round trips, exit codes."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import random
@@ -10,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tetralap import decimation, fractal_graph, laplacian, spectrum_from_json, enumerate_spectrum
+from tetralap import (
+    decimation, fractal_graph, laplacian, oracle, spectrum_from_json, enumerate_spectrum
+)
 from tetralap.cli import OUTDIR_ENV, _json_text, _parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -273,6 +276,32 @@ def test_bad_flags_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["harmonic", "--boundary", "1,2,3", "--level", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param(lambda values: values[:-1], "the oracle has 29 eigenvalues, decimation 30",
+                 id="largest-dropped"),
+    pytest.param(lambda values: values + 1e-3,
+                 "oracle and decimation disagree: max |diff| 1.000e-03 > tol 1.0e-08", id="shifted"),
+])
+def test_oracle_compare_refuses_an_oracle_that_disagrees(capsys, monkeypatch, change, message):
+    jacobi_eigen = oracle.jacobi_eigen
+
+    def changed(matrix):
+        decomposition = jacobi_eigen(matrix)
+        return dataclasses.replace(decomposition, values=change(decomposition.values))
+
+    monkeypatch.setattr(oracle, "jacobi_eigen", changed)
+    code, out, err = run_cli(capsys, "oracle-compare", "--level", "2")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": {"code": 3, "message": message}}
+
+
+def test_malformed_boundary_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["harmonic", "--boundary=a,b,c,d", "--level", "1"])
+    assert exc.value.code == 2
+    assert "malformed boundary values: 'a,b,c,d'" in capsys.readouterr().err
 
 
 def test_oracle_compare_has_no_tol_flag(capsys):

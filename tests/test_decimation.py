@@ -325,6 +325,36 @@ def test_integer_columns_refuse_floats_and_bools(column, bad):
     assert len(SpectrumTable(1, [], [], [], [], [])) == 0
 
 
+@pytest.mark.parametrize("column, given, want", [
+    pytest.param("multiplicities", [True, 1], "multiplicity must be an integer, got True",
+                 id="multiplicity-true-1"),
+    pytest.param("birth_levels", [True, 1], "birth level must be an integer, got True",
+                 id="birth-level-true-1"),
+    pytest.param("values", ["2.0"], "value must be a real number, got '2.0'", id="value-str"),
+    pytest.param("values", [True], "value must be a real number, got True", id="value-true"),
+    pytest.param("birth_values", ["2.0"], "birth value must be a real number, got '2.0'",
+                 id="birth-value-str"),
+])
+def test_columns_are_read_by_their_own_scalars(column, given, want):
+    # numpy reads [True, 1] as int64 and turns "2.0" and True into floats, so
+    # how numpy read a list cannot tell whether its scalars are of the column's kind
+    columns = {"values": [2.0, 6.0], "multiplicities": [1, 3], "birth_levels": [1, 1],
+               "birth_values": [2.0, 6.0], "branches": ["", ""]}
+    columns = {name: rows[:len(given)] for name, rows in columns.items()}
+    columns[column] = given
+    assert _error(lambda: SpectrumTable(1, *columns.values())) == (TypeError, want)
+    if column.startswith("birth"):  # Lineage refuses the row too
+        with pytest.raises((TypeError, ValueError)):
+            Lineage(columns["birth_levels"][0], columns["birth_values"][0])
+
+
+def test_float_columns_take_ints():
+    # from a list or from an int64 ndarray, which is not of the float columns' kind
+    table = SpectrumTable(1, [2], [1], [1], [2], [""])
+    assert table.values.tolist() == table.birth_values.tolist() == [2.0]
+    assert SpectrumTable(1, np.array([2]), [1], [1], np.array([2]), [""]) == table
+
+
 def test_spectrum_table_refuses_multiplicities_below_one_or_past_int64():
     # a uint64 column past int64 would wrap to a negative count, and a
     # negative count would go on into counting_function and the documents
@@ -691,6 +721,13 @@ def test_born_eight_family_continues_on_the_plus_branch(graphs, oracle_decomps):
         assert _residual(u, _replay(lineage)) <= 1e-9 * np.max(np.abs(u.values))
 
 
+def test_family_refuses_levels_below_its_lineage(graphs, oracle_decomps):
+    family = eigenfunction_family(Lineage(1, 6.0, "+"), graphs={1: graphs(1)},
+                                  decompositions={1: oracle_decomps(1)})
+    with pytest.raises(ValueError, match="^lineage starts at level 2, got 1$"):
+        family(1)
+
+
 def test_born_eigenbasis_dimensions(graphs, oracle_decomps):
     assert len(born_eigenbasis(1, 2.0, graph=graphs(1), decomposition=oracle_decomps(1))) == 1
     assert len(born_eigenbasis(2, 6.0, graph=graphs(2), decomposition=oracle_decomps(2))) == 6
@@ -759,6 +796,14 @@ def test_weyl_fit_scale_invariant():
 def test_weyl_fit_needs_data():
     with pytest.raises(ValueError):
         weyl_fit(limit_spectrum(3, 15))
+
+
+def test_weyl_fit_refuses_limits_within_one_decade():
+    # 100 limits, enough to fit, but none at 10 times the smallest or more
+    n = 100
+    within = SpectrumTable(1, np.linspace(1.0, 9.9, n), [1] * n, [1] * n, [2.0] * n, [""] * n)
+    with pytest.raises(ValueError, match="^fit window is empty; enumerate more eigenvalues$"):
+        weyl_fit(within)
 
 
 # --- serialization --------------------------------------------------------------

@@ -313,6 +313,12 @@ def test_letters_must_be_integers(graphs):
     assert np.all(same)
 
 
+def test_cell_restriction_refuses_level_zero(graphs):
+    # a level-0 function is a single cell with no subcopy below it
+    with pytest.raises(ValueError, match="^cell restriction needs level >= 1$"):
+        cell_restriction(VertexFunction(graphs(0), np.zeros(4)), 0)
+
+
 def test_harmonic_family_builds_each_level_once(monkeypatch):
     built = []
     real = fractal_graph.build_level

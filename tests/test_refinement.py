@@ -14,6 +14,7 @@ import pytest
 
 from tetralap import (
     CELL_MIDPOINT_PAIRS,
+    CHILD_CORNERS,
     Address,
     Lineage,
     VertexFunction,
@@ -24,6 +25,7 @@ from tetralap import (
     eigenfunction_family,
     extension_cell,
     harmonize,
+    vertex_coords,
 )
 from test_fractal_graph import _reference_build
 
@@ -75,6 +77,20 @@ def test_eigenfunction_extend_matches_address_reference(graphs, m, lam):
     formula = _reference_extend(u, graphs(m + 1), _eigen_midpoints(lam))
     scale = np.abs(_reference_extend(u, graphs(m + 1), _eigen_midpoints(lam, abs)))
     assert np.all(np.abs(ext.values - formula) <= 8 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_child_corners_place_each_parent_vertex(graphs, m):
+    # entry n is where the parent cell's n-th vertex sits among its children:
+    # its corners P_0..P_3, then the midpoints x_1..x_6 of its edges
+    parent, child = graphs(m - 1), graphs(m)
+    corners = vertex_coords(parent)[parent.cells]
+    ten = [*corners.transpose(1, 0, 2),
+           *((corners[:, i] + corners[:, j]) / 2.0 for i, j in CELL_MIDPOINT_PAIRS)]
+    at = vertex_coords(child)[child.cells.reshape(-1, 4, 4)]
+    assert len(CHILD_CORNERS) == len(ten)
+    for (i, j), want in zip(CHILD_CORNERS, ten):
+        assert np.allclose(at[:, i, j], want, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("m", LEVELS)
