@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
-import math
 import operator
 import os
 import re
@@ -70,8 +70,18 @@ def _boundary(text: str):
 
 _quote = json.encoder.encode_basestring_ascii
 
-#: Exact scalar types and the text json.dumps gives each (a float only when finite).
-_SCALAR_TEXT = {float: float.__repr__, int: int.__repr__, str: _quote}
+#: Exact scalar types besides float and the text json.dumps gives each.
+_SCALAR_TEXT = {int: int.__repr__, str: _quote}
+
+
+def _float_texts(column) -> list[str]:
+    """repr of each float of column, repr called once per distinct float64 bit
+    pattern: a level's coordinates take a few hundred values among thousands.
+    Grouped by bits, not by ==, so 0.0 and -0.0 keep their own texts."""
+    bits = np.asarray(column, dtype=np.float64).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 def _json_text(payload) -> str:
@@ -85,17 +95,20 @@ def _json_text(payload) -> str:
 def _column(items, nl: str) -> list[str]:
     """The JSON text of each item; nl is the newline and indent its lines start with.
 
-    A column of one exact scalar type is converted in one map.  Two or more
-    dicts with the same keys fill one template from their per-key columns;
-    two or more lists and tuples, not all empty, fill one template per
-    length from their per-position columns.  Every other item is written
-    on its own: containers by _container, leaves by json.dumps.
+    A column of finite floats is converted by _float_texts, and a column of
+    one other exact scalar type in one map.  Two or more dicts with the same
+    keys fill one template from their per-key columns; two or more lists and
+    tuples, not all empty, fill one template per length from their
+    per-position columns.  Every other item is written on its own:
+    containers by _container, leaves by json.dumps.
     """
     kinds = set(map(type, items))
-    if len(kinds) == 1:
-        convert = _SCALAR_TEXT.get(next(iter(kinds)))
-        if convert is not None and (kinds != {float} or all(map(math.isfinite, items))):
-            return list(map(convert, items))
+    if kinds == {float}:
+        floats = np.array(items)
+        if np.isfinite(floats).all():  # json.dumps writes NaN and Infinity its own way
+            return _float_texts(floats)
+    elif len(kinds) == 1 and (convert := _SCALAR_TEXT.get(next(iter(kinds)))) is not None:
+        return list(map(convert, items))
     inner = nl + "  "
     if len(items) > 1 and kinds == {dict}:
         keys = list(items[0])
@@ -138,9 +151,15 @@ def _lines_text(lines) -> str:
 
 def _csv(header: str, columns) -> str:
     """CSV text from equal-length columns, each of one type: a str column as it
-    is, every other column by repr, so floats round-trip."""
-    text = [c if c and isinstance(c[0], str) else map(repr, c) for c in columns]
-    return _lines_text([header, *map(",".join, zip(*text))])
+    is, a float column by _float_texts and every other column by repr, so
+    floats round-trip."""
+    return _lines_text([header, *map(",".join, zip(*map(_csv_texts, columns)))])
+
+
+def _csv_texts(column):
+    if column and isinstance(column[0], str):
+        return column
+    return _float_texts(column) if set(map(type, column)) == {float} else map(repr, column)
 
 
 def _table_csv(table) -> str:
@@ -152,8 +171,13 @@ def _cmd_build_graph(args: argparse.Namespace) -> str:
     if args.format == "json":
         return _json_text(graph_json(g))
     lines = [f"# sierpinski tetrahedron level {g.level}"]
-    lines += [f"v {x!r} {y!r} {z!r}" for x, y, z in vertex_coords(g).tolist()]
-    lines += [f"l {i + 1} {j + 1}" for i, j in g.edges.tolist()]
+    xs, ys, zs = map(_float_texts, vertex_coords(g).T)
+    lines += [f"v {x} {y} {z}" for x, y, z in zip(xs, ys, zs)]
+    # each 1-based vertex id is formatted once as a line start and once as a line end
+    ids = range(1, g.n_vertices + 1)
+    starts = np.array([f"l {i}" for i in ids], dtype=object)
+    ends = np.array([f" {j}" for j in ids], dtype=object)
+    lines += (starts[g.edges[:, 0]] + ends[g.edges[:, 1]]).tolist()
     return _lines_text(lines)
 
 
@@ -286,6 +310,7 @@ def _write(text: str, path: str | None):
         fh.write(text)
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tetralap",

@@ -75,13 +75,17 @@ class Lineage:
                 f"no eigenvalue {self.birth_value} is born at level {self.birth_level}"
             )
         if not isinstance(self.branches, str) or self.branches.strip(MINUS + PLUS):
-            raise ValueError(f"branches must be a string of '-' and '+', got {self.branches!r}")
+            _refuse_branches(self.branches)
         if self.branches and self.branches[0] not in _branches_after(self.birth_value):
             raise ValueError(f"{self.birth_value} does not continue on {self.branches[0]!r}")
 
     @property
     def level(self) -> int:
         return self.birth_level + len(self.branches)
+
+
+def _refuse_branches(branches):
+    raise ValueError(f"branches must be a string of '-' and '+', got {branches!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,9 +107,10 @@ class SpectrumTable:
     """The level-m spectrum as read-only columns, one row per record, in
     ascending value order; ``branches`` holds each row's Lineage.branches.
     The table reads as a sequence of ROW records (len, indexing, iteration).
-    A numeric column given as an ndarray of its own dtype kind is taken as it
-    is; any other is read by its own scalars, of which an integer column takes
-    only integers and a float column no bool or string.  Past those checks a
+    A column given as an ndarray of its own dtype kind is taken as it is; any
+    other is read by its own scalars, of which an integer column takes only
+    integers, a float column no bool or string, and the branches column only
+    str, refusing any other with Lineage's own error.  Past those checks a
     table refuses a row Lineage refuses, with Lineage's own error, an integer
     past int64 and a multiplicity below 1."""
 
@@ -129,12 +134,16 @@ class SpectrumTable:
     def __post_init__(self):
         for name, (field, dtype) in self.COLUMNS.items():
             given, label, kind = getattr(self, name), field.replace("_", " "), np.dtype(dtype).kind
-            if kind in "if" and not (isinstance(given, np.ndarray) and given.dtype.kind == kind):
+            if not (isinstance(given, np.ndarray) and given.dtype.kind == kind):
                 wanted = "an integer" if kind == "i" else "a real number"
                 for v in np.asarray(given, dtype=object).ravel().tolist():  # its own scalars
-                    if isinstance(v, (bool, np.bool_, str, bytes)) or kind == "i" and not is_integer(v):
+                    if kind == "U":
+                        if not isinstance(v, str):  # numpy would turn b"+" and 5 into str
+                            _refuse_branches(v)
+                    elif (isinstance(v, (bool, np.bool_, str, bytes))
+                          or kind == "i" and not is_integer(v)):
                         raise TypeError(f"{label} must be {wanted}, got {v!r}")
-                    if kind == "i" and not -2 ** 63 <= v < 2 ** 63:
+                    elif kind == "i" and not -2 ** 63 <= v < 2 ** 63:
                         raise ValueError(f"{label} must fit int64, got {v}")
             column = np.asarray(given, dtype=dtype).view()
             if column.ndim != 1 or len(column) != len(self.values):

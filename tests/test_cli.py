@@ -4,17 +4,21 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tetralap import (
-    decimation, fractal_graph, laplacian, oracle, spectrum_from_json, enumerate_spectrum
+    decimation, fractal_graph, laplacian, oracle, spectrum_from_json, enumerate_spectrum,
+    harmonize,
 )
-from tetralap.cli import OUTDIR_ENV, _json_text, _parser, main
+from tetralap.cli import OUTDIR_ENV, _csv, _json_text, _parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -91,6 +95,17 @@ def test_graph_obj_wireframe(capsys):
     for l in vs:
         _, x, y, z = l.split()
         assert np.isfinite([float(x), float(y), float(z)]).all()
+
+
+def test_build_graph_obj_lines(capsys):
+    # the document as one f-string per line writes it, each float by repr
+    g = fractal_graph.build_level(4)
+    want = ["# sierpinski tetrahedron level 4"]
+    want += [f"v {x!r} {y!r} {z!r}" for x, y, z in fractal_graph.vertex_coords(g).tolist()]
+    want += [f"l {i + 1} {j + 1}" for i, j in g.edges.tolist()]
+    code, out, _ = run_cli(capsys, "build-graph", "--level", "4", "--format", "obj")
+    assert code == 0
+    assert out == "\n".join(want) + "\n"
 
 
 def test_build_graph_json_to_file(tmp_path, capsys):
@@ -270,6 +285,17 @@ def test_counting_defaults(capsys):
     assert run_cli(capsys, "counting")[1] == run_cli(capsys, "counting", "--level", "3")[1]
     limit = run_cli(capsys, "counting", "--limit")[1]
     assert limit == run_cli(capsys, "counting", "--limit", "--births", "6", "--count", "100")[1]
+
+
+def test_one_process_runs_each_command_afresh(capsys):
+    # the parser is built once per process; the --level of one counting call
+    # must not carry into the next, whose unset flags the parser leaves unset
+    assert run_cli(capsys, "counting", "--level", "10")[0] == 0
+    code, out, _ = run_cli(capsys, "counting", "--limit", "--births", "6")
+    argv = [sys.executable, "-m", "tetralap.cli", "counting", "--limit", "--births", "6"]
+    env = {**os.environ, "PYTHONPATH": str(Path(fractal_graph.__file__).resolve().parents[1])}
+    fresh = subprocess.run(argv, capture_output=True, check=True, env=env)
+    assert (code, out.encode()) == (0, fresh.stdout)
 
 
 def test_bad_flags_exit_code(capsys):
@@ -527,6 +553,8 @@ WRITER_CASES = [
     # lists of several lengths, the graph_json "word" column among them
     [[], [0], [0, 3], [], [2], (1, 2)], [[], []], [[1.5, "x"], [2], ["%s", None, "\x00"]],
     [[[1], []], [[2, [3]]], []], {"vertices": [{"word": []}, {"word": [0, 1]}, {"word": [3]}]},
+    # two bit patterns that == takes for one value
+    [0.0, -0.0, 0.0, -0.0],
 ]
 
 
@@ -578,6 +606,21 @@ def test_json_writer_random_payloads():
     for _ in range(500):
         payload = _random_payload(rng, 4)
         assert _json_text(payload) == json.dumps(payload, indent=2) + "\n", payload
+
+
+def test_float_texts_keep_both_zeros(capsys):
+    # floats are formatted once per bit pattern, so 0.0 and -0.0, which are
+    # ==, keep their own texts (the JSON case is among WRITER_CASES); 1 and
+    # 1.0 keep theirs too
+    assert _csv("z", [[0.0, -0.0, 0.0, -0.0]]) == "z\n0.0\n-0.0\n0.0\n-0.0\n"
+    assert _csv("n", [[1, 1.0, 1, 1.0]]) == "n\n1\n1.0\n1\n1.0\n"
+    code, out, _ = run_cli(
+        capsys, "harmonic", "--boundary=-0.0,0,0,1", "--level", "2", "--format", "csv"
+    )
+    assert code == 0
+    values = [row.split(",")[4] for row in out.splitlines()[1:]]
+    want = list(map(repr, harmonize((-0.0, 0.0, 0.0, 1.0), 2).values.tolist()))
+    assert values == want and "-0.0" in values and "0.0" in values
 
 
 def test_json_writer_refuses_non_str_keys():

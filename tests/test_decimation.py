@@ -348,6 +348,14 @@ def test_columns_are_read_by_their_own_scalars(column, given, want):
             Lineage(columns["birth_levels"][0], columns["birth_values"][0])
 
 
+@pytest.mark.parametrize("bad", [b"", b"+", 5], ids=["bytes-empty", "bytes-plus", "int"])
+def test_branches_column_is_read_by_its_own_scalars(bad):
+    # numpy would turn each of these into a str; the table refuses it as Lineage does
+    want = _error(lambda: Lineage(1, 2.0, bad))
+    assert want == (ValueError, f"branches must be a string of '-' and '+', got {bad!r}")
+    assert _error(lambda: SpectrumTable(1, [2.0], [1], [1], [2.0], [bad])) == want
+
+
 def test_float_columns_take_ints():
     # from a list or from an int64 ndarray, which is not of the float columns' kind
     table = SpectrumTable(1, [2], [1], [1], [2], [""])
