@@ -12,7 +12,6 @@ from .fractal_graph import (
     address_strings,
     build_level,
     canonicalize,
-    graph_json,
     level_graph,
     vertex_coords,
 )
@@ -46,12 +45,10 @@ from .decimation import (
     WeylFitDiagnostics,
     born_eigenbasis,
     born_multiplicities,
-    counting_json,
     counting_function,
     eigenfunction_family,
     enumerate_spectrum,
     limit_spectrum,
-    limit_spectrum_json,
     spectrum_from_json,
     spectrum_json,
     weyl_fit,

@@ -3,10 +3,10 @@
 Every subcommand writes a deterministic document (JSON, CSV, OBJ or
 text) to --output or stdout, so repeated runs with the same flags are
 byte-identical.  The library returns data; this module alone turns it
-into text, every JSON document through _json_text and every CSV
-document through _csv.  Exit codes: 0 ok, 2 usage, 3 domain error
-(caps, invalid values), 4 I/O failure.  Relative --output paths resolve
-against $TETRALAP_OUTDIR when it is set.
+into text, as blocks of at most _BLOCK rows formatted from its columns.
+Exit codes: 0 ok, 2 usage, 3 domain error (caps, invalid values), 4 I/O
+failure.  Relative --output paths resolve against $TETRALAP_OUTDIR when
+it is set.
 """
 
 from __future__ import annotations
@@ -14,32 +14,31 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
-import operator
 import os
 import re
 import sys
-from itertools import zip_longest
+from collections.abc import Iterator
 
 import numpy as np
 
 from .fractal_graph import (
     Address,
     LevelCapError,
+    _word_digits,
     address_strings,
     build_level,
-    graph_json,
     vertex_coords,
 )
 from .energy import harmonic_family, harmonize
 from .laplacian import renormalized_laplacian
 from .decimation import (
+    _BLOCK,
     DIMENSION_CONSTANTS,
-    counting_json,
+    counting_function,
     enumerate_spectrum,
     limit_spectrum,
-    limit_spectrum_json,
-    spectrum_json,
     weyl_fit,
 )
 from . import fractal_graph, oracle
@@ -68,12 +67,6 @@ def _boundary(text: str):
         raise argparse.ArgumentTypeError(f"malformed boundary values: {text!r}")
 
 
-_quote = json.encoder.encode_basestring_ascii
-
-#: Exact scalar types besides float and the text json.dumps gives each.
-_SCALAR_TEXT = {int: int.__repr__, str: _quote}
-
-
 def _float_texts(column) -> list[str]:
     """repr of each float of column, repr called once per distinct float64 bit
     pattern: a level's coordinates take a few hundred values among thousands.
@@ -84,132 +77,144 @@ def _float_texts(column) -> list[str]:
     return texts[inverse].tolist()
 
 
+def _texts(column) -> list[str]:
+    """The text of each item of a column, as CSV and JSON write it: a column of
+    floats by _float_texts, of strs as it is, and any other item by repr.  An
+    array's items are of its dtype's kind; a list's are of their own types."""
+    kinds = {column.dtype.kind} if isinstance(column, np.ndarray) else set(map(type, column))
+    if kinds <= {"f", float}:
+        return _float_texts(column)
+    items = column.tolist() if isinstance(column, np.ndarray) else column
+    return items if kinds <= {"U", str} else list(map(repr, items))
+
+
+def _blocks(*columns):
+    """Equal-length columns, _BLOCK rows at a time."""
+    for start in range(0, len(columns[0]), _BLOCK):
+        yield [column[start:start + _BLOCK] for column in columns]
+
+
+def _rows(template: str, blocks, sep: str = ""):
+    """One text per block of columns: each row one join of the template's parts
+    with its texts in the %s slots, rows joined by sep, and sep before every
+    block but the first."""
+    parts = list(map(itertools.repeat, template.split("%s")))
+    for n, columns in enumerate(blocks):
+        texts = [x for pair in zip(parts, map(_texts, columns)) for x in pair] + parts[-1:]
+        yield (sep if n else "") + sep.join(map("".join, zip(*texts)))
+
+
+def _csv(header: str, columns):
+    """A CSV document in blocks, from equal-length columns, each one row field."""
+    yield header + "\n"
+    yield from _rows(",".join(["%s"] * len(columns)) + "\n", _blocks(*columns))
+
+
 def _json_text(payload) -> str:
-    """The text of json.dumps with an indent of 2, and a newline, written a column at a time.
-
-    Dict keys must be str, as in every document here; any other key raises TypeError.
-    """
-    return _column([payload], "\n")[0] + "\n"
-
-
-def _column(items, nl: str) -> list[str]:
-    """The JSON text of each item; nl is the newline and indent its lines start with.
-
-    A column of finite floats is converted by _float_texts, and a column of
-    one other exact scalar type in one map.  Two or more dicts with the same
-    keys fill one template from their per-key columns; two or more lists and
-    tuples, not all empty, fill one template per length from their
-    per-position columns.  Every other item is written on its own:
-    containers by _container, leaves by json.dumps.
-    """
-    kinds = set(map(type, items))
-    if kinds == {float}:
-        floats = np.array(items)
-        if np.isfinite(floats).all():  # json.dumps writes NaN and Infinity its own way
-            return _float_texts(floats)
-    elif len(kinds) == 1 and (convert := _SCALAR_TEXT.get(next(iter(kinds)))) is not None:
-        return list(map(convert, items))
-    inner = nl + "  "
-    if len(items) > 1 and kinds == {dict}:
-        keys = list(items[0])
-        if keys and all(map(keys.__eq__, map(list, items))):
-            template = _wrap("{", [_quote(k).replace("%", "%%") + ": %s" for k in keys], "}", nl)
-            columns = [_column([d[k] for d in items], inner) for k in keys]
-            return list(map(template.__mod__, zip(*columns)))
-    if len(items) > 1 and kinds <= {list, tuple} and any(map(len, items)):
-        lengths = list(map(len, items))
-        top = max(lengths)
-        templates = {w: (_wrap("[", ["%s"] * w, "]", nl) if w else "[]") + "%.0s" * (top - w)
-                     for w in set(lengths)}
-        # 0 pads the shorter items to the longest; their "%.0s" slots write nothing for it
-        columns = [_column(c, inner) for c in zip_longest(*items, fillvalue=0)]
-        return list(map(operator.mod, map(templates.__getitem__, lengths), zip(*columns)))
-    return [_container(x, nl) if isinstance(x, (dict, list, tuple)) else json.dumps(x)
-            for x in items]
+    """json.dumps(payload, indent=2) and a newline, for small nested documents; a
+    dict key that is not a str raises TypeError, where json.dumps writes a str."""
+    if not all(isinstance(key, str) for key in _keys(payload)):
+        raise TypeError("JSON object keys must be str")
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _container(x, nl: str) -> str:
-    """The JSON text of one dict, list or tuple, its items converted as one column."""
-    if not x:
-        return "{}" if isinstance(x, dict) else "[]"
-    inner = nl + "  "
-    if isinstance(x, dict):
-        values = _column(list(x.values()), inner)
-        return _wrap("{", map(": ".join, zip(map(_quote, x), values)), "}", nl)
-    return _wrap("[", _column(list(x), inner), "]", nl)
+def _keys(payload):
+    """Every dict key inside payload."""
+    if isinstance(payload, dict):
+        yield from payload
+        payload = list(payload.values())
+    if isinstance(payload, (list, tuple)):
+        for item in payload:
+            yield from _keys(item)
 
 
-def _wrap(open_: str, parts, close: str, nl: str) -> str:
-    """A container's text from its item texts, one item per line, indented below nl."""
-    inner = nl + "  "
-    return open_ + inner + ("," + inner).join(parts) + nl + close
+def _template(shape) -> str:
+    """The template of a JSON item of this shape: each None in it is a slot."""
+    return json.dumps(shape, indent=2).replace("null", "%s")
 
 
-def _lines_text(lines) -> str:
-    return "\n".join(lines) + "\n"
+def _json_list(template: str, blocks, brackets: str = "[]"):
+    """A member's JSON list of one item per row, or with brackets "{}" its object."""
+    nl = "\n    "
+    yield brackets[0] + nl
+    yield from _rows(template.replace("\n", nl), blocks, "," + nl)
+    yield "\n  " + brackets[1]
 
 
-def _csv(header: str, columns) -> str:
-    """CSV text from equal-length columns, each of one type: a str column as it
-    is, a float column by _float_texts and every other column by repr, so
-    floats round-trip."""
-    return _lines_text([header, *map(",".join, zip(*map(_csv_texts, columns)))])
+def _json_document(members: dict):
+    """json.dumps(members, indent=2) and a newline, in blocks: an iterator
+    member is the blocks of its text, every other member goes to _json_text."""
+    yield "{"
+    for n, (key, value) in enumerate(members.items()):
+        yield f'{"," if n else ""}\n  {json.dumps(key)}: '
+        if isinstance(value, Iterator):
+            yield from value
+        else:
+            yield _json_text(value)[:-1].replace("\n", "\n  ")
+    yield "\n}\n"
 
 
-def _csv_texts(column):
-    if column and isinstance(column[0], str):
-        return column
-    return _float_texts(column) if set(map(type, column)) == {float} else map(repr, column)
+def _table_list(table):
+    """The table's records; a branches string needs no escape, for it holds only - and +."""
+    shape = {field: "%s" if dtype is np.str_ else None for field, dtype in table.COLUMNS.values()}
+    return _json_list(_template(shape), _blocks(*(getattr(table, name) for name in table.COLUMNS)))
 
 
-def _table_csv(table) -> str:
-    return _csv(",".join(table.fields), [getattr(table, name).tolist() for name in table.COLUMNS])
+def _word_texts(keys, m: int) -> list[str]:
+    """The JSON text of the word list of each level-m vertex key, at a graph
+    document's indent: the letters are spelled as a string, then joined."""
+    chars = np.zeros((len(keys), m + 1), np.uint8)  # one NUL column more, so level 0 has a width
+    chars[:, :m] = np.frombuffer(b"\x000123", np.uint8)[_word_digits(keys, m)]  # digit 0 is NUL
+    words = chars.view(f"S{m + 1}")[:, 0].astype(str).tolist()  # numpy strips the NULs
+    sep = ",\n        "
+    return [f"[\n        {sep.join(w)}\n      ]" if w else "[]" for w in words]
 
 
-def _cmd_build_graph(args: argparse.Namespace) -> str:
+def _cmd_build_graph(args: argparse.Namespace):
     g = build_level(args.level)
+    xyz = vertex_coords(g)
     if args.format == "json":
-        return _json_text(graph_json(g))
-    lines = [f"# sierpinski tetrahedron level {g.level}"]
-    xs, ys, zs = map(_float_texts, vertex_coords(g).T)
-    lines += [f"v {x} {y} {z}" for x, y, z in zip(xs, ys, zs)]
+        vertices = ([ids, _word_texts(keys, g.level), keys % 4, *c.T]
+                    for ids, keys, c in _blocks(range(g.n_vertices), g.keys, xyz))
+        return _json_document({
+            "level": g.level,
+            "vertices": _json_list(_template({"id": None, "word": None, "base": None,
+                                              "xyz": [None] * 3}), vertices),
+            "edges": _json_list(_template([None, None]), _blocks(*g.edges.T)),
+        })
     # each 1-based vertex id is formatted once as a line start and once as a line end
     ids = range(1, g.n_vertices + 1)
     starts = np.array([f"l {i}" for i in ids], dtype=object)
-    ends = np.array([f" {j}" for j in ids], dtype=object)
-    lines += (starts[g.edges[:, 0]] + ends[g.edges[:, 1]]).tolist()
-    return _lines_text(lines)
+    ends = np.array([f" {j}\n" for j in ids], dtype=object)
+    lines = ("".join((starts[e[:, 0]] + ends[e[:, 1]]).tolist()) for e, in _blocks(g.edges))
+    return itertools.chain([f"# sierpinski tetrahedron level {g.level}\n"],
+                           _rows("v %s %s %s\n", _blocks(*xyz.T)), lines)
 
 
-def _cmd_harmonic(args: argparse.Namespace) -> str:
+def _cmd_harmonic(args: argparse.Namespace):
     u = harmonize(args.boundary, args.level)
-    addresses = address_strings(u.graph).tolist()
-    values = u.values.tolist()
+    addresses = address_strings(u.graph)
     if args.format == "json":
-        return _json_text(
-            {
-                "level": args.level,
-                "boundary": list(args.boundary),
-                "values": dict(zip(addresses, values)),
-            }
-        )
-    return _csv("address,x,y,z,value", [addresses, *vertex_coords(u.graph).T.tolist(), values])
+        return _json_document({"level": args.level, "boundary": list(args.boundary),
+                               "values": _json_list('"%s": %s', _blocks(addresses, u.values), "{}")})
+    return _csv("address,x,y,z,value", [addresses, *vertex_coords(u.graph).T, u.values])
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> str:
+def _cmd_spectrum(args: argparse.Namespace):
+    table = enumerate_spectrum(args.level)
     if args.format == "csv":
-        return _table_csv(enumerate_spectrum(args.level))
-    # the table is freed before the document is written
-    return _json_text(spectrum_json(enumerate_spectrum(args.level)))
+        return _csv(",".join(table.fields), [getattr(table, n) for n in table.COLUMNS])
+    return _json_document({"level": table.level, "total_multiplicity": table.total_multiplicity,
+                           "records": _table_list(table)})
 
 
-def _cmd_limit_spectrum(args: argparse.Namespace) -> str:
+def _cmd_limit_spectrum(args: argparse.Namespace):
     if args.fit and args.format != "json":
         raise ValueError("--fit is written only in the JSON format")
     limits = limit_spectrum(args.births, args.count)
     if args.format == "csv":
-        return _table_csv(limits)
-    doc = limit_spectrum_json(limits)
+        return _csv(",".join(limits.fields), [getattr(limits, n) for n in limits.COLUMNS])
+    doc = {"limit_eigenvalues": _table_list(limits)}
     if args.fit:
         alpha, diag = weyl_fit(limits)
         doc["weyl_fit"] = {
@@ -217,10 +222,10 @@ def _cmd_limit_spectrum(args: argparse.Namespace) -> str:
             "alpha_expected": DIMENSION_CONSTANTS.weyl_alpha,
             **dataclasses.asdict(diag),
         }
-    return _json_text(doc)
+    return _json_document(doc)
 
 
-def _cmd_counting(args: argparse.Namespace) -> str:
+def _cmd_counting(args: argparse.Namespace):
     mode = "with" if args.use_limit else "without"
     for flag in ("level",) if args.use_limit else ("births", "count"):
         if flag in args:  # the parser sets only the flags given
@@ -228,13 +233,13 @@ def _cmd_counting(args: argparse.Namespace) -> str:
     spectrum = (limit_spectrum(getattr(args, "births", LIMIT_BIRTHS),
                                getattr(args, "count", LIMIT_COUNT))
                 if args.use_limit else enumerate_spectrum(getattr(args, "level", 3)))
-    doc = counting_json(spectrum)
+    points = [spectrum.values, counting_function(spectrum, spectrum.values)]
     if args.format == "json":
-        return _json_text(doc)
-    return _csv("x,N", list(zip(*doc["points"])))
+        return _json_document({"points": _json_list(_template([None, None]), _blocks(*points))})
+    return _csv("x,N", points)
 
 
-def _cmd_laplacian_check(args: argparse.Namespace) -> str:
+def _cmd_laplacian_check(args: argparse.Namespace):
     if args.depth < 0:
         raise ValueError(f"depth must be nonnegative, got {args.depth}")
     if args.level < 1:  # level 0 has no interior vertex to probe
@@ -250,64 +255,75 @@ def _cmd_laplacian_check(args: argparse.Namespace) -> str:
         raise ValueError(f"graph Laplacian is defined on interior vertices only, got {x}")
     names = address_strings(g)[probes]
     order = np.argsort(names)  # the order of Python's str sort
-    probes, names = probes[order], names[order].tolist()
+    probes, names = probes[order], names[order]
     levels = range(args.level, top + 1)
     values = [renormalized_laplacian(u(m), u(m).graph.indices_of(g)[probes]) for m in levels]
     return _csv("level,address,value",
-                [np.repeat(levels, len(names)).tolist(), names * len(levels),
-                 np.concatenate(values).tolist()])
+                [np.repeat(levels, len(names)), np.tile(names, len(levels)), np.concatenate(values)])
 
 
-def _cmd_oracle_compare(args: argparse.Namespace) -> str:
-    oracle_values = oracle.jacobi_eigen(oracle.assemble(args.level)).values.tolist()
+def _cmd_oracle_compare(args: argparse.Namespace):
+    oracle_values = oracle.jacobi_eigen(oracle.assemble(args.level)).values
     table = enumerate_spectrum(args.level)
-    expanded = np.repeat(table.values, table.multiplicities).tolist()  # ascending, as floats
+    expanded = np.repeat(table.values, table.multiplicities)  # ascending
     if len(oracle_values) != len(expanded):
         raise ValueError(f"the oracle has {len(oracle_values)} eigenvalues, decimation {len(expanded)}")
-    rows = [(args.level, i, ov, dv, abs(ov - dv))
-            for i, (ov, dv) in enumerate(zip(oracle_values, expanded))]
-    worst = max(row[-1] for row in rows)
-    if worst > ORACLE_TOL:
+    diffs, index = np.abs(oracle_values - expanded), np.arange(len(expanded))
+    if (worst := diffs.max()) > ORACLE_TOL:
         raise ValueError(
             f"oracle and decimation disagree: max |diff| {worst:.3e} > tol {ORACLE_TOL:.1e}"
         )
-    return _csv("level,index,oracle_eigenvalue,decimation_eigenvalue,abs_diff", list(zip(*rows)))
+    return _csv("level,index,oracle_eigenvalue,decimation_eigenvalue,abs_diff",
+                [np.full_like(index, args.level), index, oracle_values, expanded, diffs])
 
 
-def _cmd_constants(args: argparse.Namespace) -> str:
+def _cmd_constants(args: argparse.Namespace):
     table = DIMENSION_CONSTANTS.as_dict()
     if args.format == "json":
-        return _json_text(table)
-    return _lines_text(
-        f"{name}={entry['value']!r}  # {entry['formula']}" for name, entry in table.items()
-    )
+        return [_json_text(table)]
+    return [f"{name}={entry['value']!r}  # {entry['formula']}\n" for name, entry in table.items()]
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute one configured subcommand; returns the exit status."""
+    """Execute one configured subcommand; returns the exit status.  A handler checks
+    its input before it returns its blocks, so a refused run writes nothing."""
     try:
-        text = args.handler(args)
+        blocks = args.handler(args)
     except (LevelCapError, ValueError, KeyError) as exc:
         message = str(exc) if not isinstance(exc, KeyError) else str(exc.args[0])
         print(json.dumps({"error": {"code": EXIT_DOMAIN, "message": message}}), file=sys.stderr)
         return EXIT_DOMAIN
     try:
-        _write(text, args.output)
+        _write(blocks, args.output)
     except OSError as exc:
         print(json.dumps({"error": {"code": EXIT_IO, "message": str(exc)}}), file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 
 
-def _write(text: str, path: str | None):
+def _write(blocks, path: str | None):
+    """Write the blocks to stdout, or to a temporary file beside path that then
+    replaces it, so a run that fails leaves no partial document at path."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
         return
     outdir = os.environ.get(OUTDIR_ENV)
     if outdir and not os.path.isabs(path):
         path = os.path.join(outdir, path)
-    with open(path, "w") as fh:
-        fh.write(text)
+    if os.path.exists(path) and not os.path.isfile(path):  # a device or a pipe
+        with open(path, "w") as fh:
+            fh.writelines(blocks)
+        return
+    head, tail = os.path.split(os.path.realpath(path))  # a link's target is replaced
+    temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    fh = open(temp, "x")  # created with the umask's mode, as path would be
+    try:
+        with fh:
+            fh.writelines(blocks)
+        os.replace(temp, os.path.join(head, tail))
+    except BaseException:
+        os.remove(temp)
+        raise
 
 
 @functools.cache  # parse_args leaves the parser as it found it

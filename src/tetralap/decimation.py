@@ -109,10 +109,11 @@ class SpectrumTable:
     The table reads as a sequence of ROW records (len, indexing, iteration).
     A column given as an ndarray of its own dtype kind is taken as it is; any
     other is read by its own scalars, of which an integer column takes only
-    integers, a float column no bool or string, and the branches column only
-    str, refusing any other with Lineage's own error.  Past those checks a
+    integers, a float column no bool, string or None, and the branches column
+    only str, refusing any other with Lineage's own error.  Past those checks a
     table refuses a row Lineage refuses, with Lineage's own error, an integer
-    past int64 and a multiplicity below 1."""
+    past int64, a float that is not finite (NaN, an infinity or a number past
+    float64) and a multiplicity below 1, so every column is finite."""
 
     #: Column name -> (JSON field, dtype); a row is one record.
     COLUMNS: ClassVar[dict[str, tuple[str, type]]] = {
@@ -140,11 +141,13 @@ class SpectrumTable:
                     if kind == "U":
                         if not isinstance(v, str):  # numpy would turn b"+" and 5 into str
                             _refuse_branches(v)
-                    elif (isinstance(v, (bool, np.bool_, str, bytes))
+                    elif (isinstance(v, (bool, np.bool_, str, bytes, type(None)))
                           or kind == "i" and not is_integer(v)):
                         raise TypeError(f"{label} must be {wanted}, got {v!r}")
                     elif kind == "i" and not -2 ** 63 <= v < 2 ** 63:
                         raise ValueError(f"{label} must fit int64, got {v}")
+                    elif kind == "f" and not abs(v) <= 1.7976931348623157e308:  # float64's max
+                        raise ValueError(f"{label} must be finite and fit float64, got {v!r}")
             column = np.asarray(given, dtype=dtype).view()
             if column.ndim != 1 or len(column) != len(self.values):
                 raise ValueError(f"{name} must be one-dimensional and as long as values, "
@@ -153,7 +156,9 @@ class SpectrumTable:
             object.__setattr__(self, name, column)
         if (least := self.multiplicities.min(initial=1)) < 1:
             raise ValueError(f"multiplicity must be at least 1, got {least}")
-        if np.isnan(self.values).any() or (self.values[1:] < self.values[:-1]).any():
+        if not np.isfinite(self.values).all():
+            raise ValueError(f"value must be finite, got {self.values[~np.isfinite(self.values)][0]}")
+        if (self.values[1:] < self.values[:-1]).any():
             raise ValueError("values must ascend")
         for start in range(0, len(self), _BLOCK):
             block = [column[start:start + _BLOCK]
@@ -610,13 +615,3 @@ def spectrum_from_json(data: dict) -> SpectrumTable:
                 raise ValueError(f"record {i}: {lineage} does not end at level {table.level}")
             raise differs
     return table
-
-
-def limit_spectrum_json(limits: LimitTable) -> dict:
-    return {"limit_eigenvalues": list(_table_json(limits))}
-
-
-def counting_json(spectrum: SpectrumTable) -> dict:
-    """The counting function at each eigenvalue, in row order: {points: [[x, N(x)]]}."""
-    counts = counting_function(spectrum, spectrum.values)
-    return {"points": [[x, n] for x, n in zip(spectrum.values.tolist(), counts.tolist())]}

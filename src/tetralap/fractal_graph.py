@@ -182,9 +182,9 @@ class LevelGraph:
         return np.searchsorted(self.keys, coarse.keys // 4 * shift * 4 + coarse.keys % 4)
 
 
-def _word_digits(g: LevelGraph) -> np.ndarray:
-    """(N, m) word digits of the vertex keys: each letter plus 1, then 0s."""
-    return g.keys[:, None] // 4 // 5 ** np.arange(g.level - 1, -1, -1) % 5
+def _word_digits(keys: np.ndarray, m: int) -> np.ndarray:
+    """(N, m) word digits of level-m vertex keys: each letter plus 1, then 0s."""
+    return keys[:, None] // 4 // 5 ** np.arange(m - 1, -1, -1) % 5
 
 
 def _address_key(a: Address, m: int) -> int:
@@ -308,7 +308,7 @@ def vertex_coords(g: LevelGraph) -> np.ndarray:
 def address_strings(g: LevelGraph) -> np.ndarray:
     """str(a) of every vertex a, in vertex order, spelled from the key digits
     without building an Address."""
-    digits = _word_digits(g)
+    digits = _word_digits(g.keys, g.level)
     n, m = digits.shape
     chars = np.zeros((n, m + 2), np.uint8)
     chars[:, :m] = np.where(digits > 0, digits + (ord("0") - 1), 0)
@@ -316,16 +316,3 @@ def address_strings(g: LevelGraph) -> np.ndarray:
     chars[rows, length] = ord(":")
     chars[rows, length + 1] = g.keys % 4 + ord("0")
     return chars.view(f"S{m + 2}")[:, 0].astype(str)  # numpy strips the NULs
-
-
-def graph_json(g: LevelGraph) -> dict:
-    """JSON-ready structure: {level, vertices:[{id, word, base, xyz}], edges:[[i,j]]}."""
-    rows = zip(_word_digits(g).tolist(), (g.keys % 4).tolist(), vertex_coords(g).tolist())
-    return {
-        "level": g.level,
-        "vertices": [
-            {"id": i, "word": [d - 1 for d in digits if d], "base": base, "xyz": xyz}
-            for i, (digits, base, xyz) in enumerate(rows)
-        ],
-        "edges": g.edges.tolist(),
-    }

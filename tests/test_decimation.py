@@ -31,7 +31,6 @@ from tetralap import (
     born_eigenbasis,
     born_multiplicities,
     counting_function,
-    counting_json,
     eigenfunction_extend,
     eigenfunction_family,
     enumerate_spectrum,
@@ -42,6 +41,7 @@ from tetralap import (
     weyl_fit,
 )
 from tetralap import decimation
+from tetralap.cli import main
 from tetralap.decimation import EigenvalueRecord, LimitTable, SpectrumTable
 
 SQRT3 = math.sqrt(3.0)
@@ -356,6 +356,31 @@ def test_branches_column_is_read_by_its_own_scalars(bad):
     assert _error(lambda: SpectrumTable(1, [2.0], [1], [1], [2.0], [bad])) == want
 
 
+@pytest.mark.parametrize("column, given, want", [
+    pytest.param("values", [None], (TypeError, "value must be a real number, got None"),
+                 id="value-none"),
+    pytest.param("birth_values", [None], (TypeError, "birth value must be a real number, got None"),
+                 id="birth-value-none"),
+    pytest.param("values", [10 ** 400],
+                 (ValueError, f"value must be finite and fit float64, got {10 ** 400}"),
+                 id="value-past-float64"),
+    pytest.param("birth_values", [10 ** 400],
+                 (ValueError, f"birth value must be finite and fit float64, got {10 ** 400}"),
+                 id="birth-value-past-float64"),
+    pytest.param("values", [math.inf], (ValueError, "value must be finite and fit float64, got inf"),
+                 id="value-inf"),
+    pytest.param("values", np.array([-math.inf]), (ValueError, "value must be finite, got -inf"),
+                 id="value-inf-array"),
+])
+def test_float_columns_are_finite(column, given, want):
+    # numpy reads None as NaN and cannot convert 10**400, and a writer would
+    # need JSON's Infinity for an infinite value: each is refused by name
+    columns = {"values": [2.0], "multiplicities": [1], "birth_levels": [1],
+               "birth_values": [2.0], "branches": [""]}
+    columns[column] = given
+    assert _error(lambda: SpectrumTable(1, *columns.values())) == want
+
+
 def test_float_columns_take_ints():
     # from a list or from an int64 ndarray, which is not of the float columns' kind
     table = SpectrumTable(1, [2], [1], [1], [2], [""])
@@ -389,10 +414,12 @@ def test_spectrum_table_refuses_ragged_columns():
     with pytest.raises(ValueError, match="generations_used"):
         dataclasses.replace(limits, generations_used=limits.generations_used[:4])
     # counting_function and weyl_fit take the rows as ascending, so a table
-    # refuses values out of order, and NaN, which has no order
-    for values in ([8.0, 2.0], [2.0, math.nan], [math.nan]):
+    # refuses values out of order, and NaN, which has no order, with its own message
+    for values, want in (([8.0, 2.0], "values must ascend"),
+                         ([2.0, math.nan], "value must be finite and fit float64, got nan"),
+                         (np.array([math.nan]), "value must be finite, got nan")):
         n = len(values)
-        with pytest.raises(ValueError, match="ascend"):
+        with pytest.raises(ValueError, match=f"^{want}$"):
             SpectrumTable(1, values, [1] * n, [1] * n, [2.0] * n, [""] * n)
     with pytest.raises(ValueError, match="ascend"):
         dataclasses.replace(limits, values=limits.values[::-1])
@@ -775,11 +802,16 @@ def test_counting_function_step_behaviour():
         assert np.all(below < at) and np.array_equal(at, above)
 
 
-def test_counting_json_reads_counting_function():
+def test_counting_json_reads_counting_function(capsys):
+    # the counting CLI document lists N(x) at each eigenvalue, in row order
     table, limits = enumerate_spectrum(6), limit_spectrum(6, 127)
-    for spectrum, values in ((table, table.values), (limits, np.array([l.value for l in limits]))):
+    runs = (("--level", "6"), ("--limit", "--births", "6", "--count", "127"))
+    for spectrum, values, argv in ((table, table.values, runs[0]),
+                                   (limits, np.array([l.value for l in limits]), runs[1])):
         counts = counting_function(spectrum, values).tolist()
-        assert counting_json(spectrum)["points"] == [[x, n] for x, n in zip(values.tolist(), counts)]
+        assert main(["counting", *argv, "--format", "json"]) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        assert points == [[x, n] for x, n in zip(values.tolist(), counts)]
 
 
 def test_weyl_fit_recovers_pure_power_law():

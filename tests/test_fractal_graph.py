@@ -12,6 +12,7 @@ Core claims:
 
 import hashlib
 import itertools
+import json
 from collections import Counter
 
 import numpy as np
@@ -25,12 +26,11 @@ from tetralap import (
     build_level,
     canonicalize,
     cell_restriction,
-    graph_json,
     harmonic_family,
     harmonize,
     vertex_coords,
 )
-from tetralap import fractal_graph
+from tetralap import cli, fractal_graph
 
 
 def neighbors(g, v: int) -> list[int]:
@@ -394,8 +394,14 @@ def test_cell_midpoint_relation_all_edges(graphs):
 # --- exports ---------------------------------------------------------------
 
 
-def test_graph_json_schema(graphs):
-    doc = graph_json(graphs(1))
+def graph_json(capsys, m: int) -> dict:
+    """The build-graph JSON document of level m, read back."""
+    assert cli.main(["build-graph", "--level", str(m), "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_graph_json_schema(capsys):
+    doc = graph_json(capsys, 1)
     assert doc["level"] == 1
     assert len(doc["vertices"]) == 10
     assert len(doc["edges"]) == 24
@@ -411,9 +417,9 @@ def test_address_strings_match_str_address(graphs, m):
 
 
 @pytest.mark.parametrize("m", range(5))
-def test_graph_json_words_and_bases_match_addresses(graphs, m):
+def test_graph_json_words_and_bases_match_addresses(graphs, capsys, m):
     g = graphs(m)
-    doc = graph_json(g)
+    doc = graph_json(capsys, m)
     assert [v["id"] for v in doc["vertices"]] == list(range(g.n_vertices))
     assert [(v["word"], v["base"]) for v in doc["vertices"]] == [
         (list(a.word), a.base) for a in _reference_build(m)[0]
