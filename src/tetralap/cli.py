@@ -26,7 +26,6 @@ import numpy as np
 from .fractal_graph import (
     Address,
     LevelCapError,
-    _word_digits,
     address_strings,
     build_level,
     vertex_coords,
@@ -110,24 +109,6 @@ def _csv(header: str, columns):
     yield from _rows(",".join(["%s"] * len(columns)) + "\n", _blocks(*columns))
 
 
-def _json_text(payload) -> str:
-    """json.dumps(payload, indent=2) and a newline, for small nested documents; a
-    dict key that is not a str raises TypeError, where json.dumps writes a str."""
-    if not all(isinstance(key, str) for key in _keys(payload)):
-        raise TypeError("JSON object keys must be str")
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _keys(payload):
-    """Every dict key inside payload."""
-    if isinstance(payload, dict):
-        yield from payload
-        payload = list(payload.values())
-    if isinstance(payload, (list, tuple)):
-        for item in payload:
-            yield from _keys(item)
-
-
 def _template(shape) -> str:
     """The template of a JSON item of this shape: each None in it is a slot."""
     return json.dumps(shape, indent=2).replace("null", "%s")
@@ -143,14 +124,14 @@ def _json_list(template: str, blocks, brackets: str = "[]"):
 
 def _json_document(members: dict):
     """json.dumps(members, indent=2) and a newline, in blocks: an iterator
-    member is the blocks of its text, every other member goes to _json_text."""
+    member is the blocks of its text, every other member its json.dumps."""
     yield "{"
     for n, (key, value) in enumerate(members.items()):
         yield f'{"," if n else ""}\n  {json.dumps(key)}: '
         if isinstance(value, Iterator):
             yield from value
         else:
-            yield _json_text(value)[:-1].replace("\n", "\n  ")
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
     yield "\n}\n"
 
 
@@ -160,22 +141,20 @@ def _table_list(table):
     return _json_list(_template(shape), _blocks(*(getattr(table, name) for name in table.COLUMNS)))
 
 
-def _word_texts(keys, m: int) -> list[str]:
-    """The JSON text of the word list of each level-m vertex key, at a graph
-    document's indent: the letters are spelled as a string, then joined."""
-    chars = np.zeros((len(keys), m + 1), np.uint8)  # one NUL column more, so level 0 has a width
-    chars[:, :m] = np.frombuffer(b"\x000123", np.uint8)[_word_digits(keys, m)]  # digit 0 is NUL
-    words = chars.view(f"S{m + 1}")[:, 0].astype(str).tolist()  # numpy strips the NULs
-    sep = ",\n        "
-    return [f"[\n        {sep.join(w)}\n      ]" if w else "[]" for w in words]
+def _word_base_texts(addresses) -> list[list[str]]:
+    """The JSON texts of the word list, at a graph document's indent, and of the
+    base of each address "word:base": its letters and digit are their texts."""
+    names, sep = addresses.tolist(), ",\n        "
+    return [[f"[\n        {sep.join(a[:-2])}\n      ]" if len(a) > 2 else "[]" for a in names],
+            [a[-1] for a in names]]
 
 
 def _cmd_build_graph(args: argparse.Namespace):
     g = build_level(args.level)
     xyz = vertex_coords(g)
     if args.format == "json":
-        vertices = ([ids, _word_texts(keys, g.level), keys % 4, *c.T]
-                    for ids, keys, c in _blocks(range(g.n_vertices), g.keys, xyz))
+        vertices = ([ids, *_word_base_texts(names), *c.T]
+                    for ids, names, c in _blocks(range(g.n_vertices), address_strings(g), xyz))
         return _json_document({
             "level": g.level,
             "vertices": _json_list(_template({"id": None, "word": None, "base": None,
@@ -280,7 +259,7 @@ def _cmd_oracle_compare(args: argparse.Namespace):
 def _cmd_constants(args: argparse.Namespace):
     table = DIMENSION_CONSTANTS.as_dict()
     if args.format == "json":
-        return [_json_text(table)]
+        return [json.dumps(table, indent=2) + "\n"]
     return [f"{name}={entry['value']!r}  # {entry['formula']}\n" for name, entry in table.items()]
 
 
@@ -310,7 +289,9 @@ def _write(blocks, path: str | None):
     outdir = os.environ.get(OUTDIR_ENV)
     if outdir and not os.path.isabs(path):
         path = os.path.join(outdir, path)
-    if os.path.exists(path) and not os.path.isfile(path):  # a device or a pipe
+    # a device or a pipe is written in place, and open refuses a path that names
+    # no file ("", "dir/", "dir/.."), which realpath would turn into one
+    if os.path.basename(path) in ("", ".", "..") or os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w") as fh:
             fh.writelines(blocks)
         return

@@ -182,11 +182,6 @@ class LevelGraph:
         return np.searchsorted(self.keys, coarse.keys // 4 * shift * 4 + coarse.keys % 4)
 
 
-def _word_digits(keys: np.ndarray, m: int) -> np.ndarray:
-    """(N, m) word digits of level-m vertex keys: each letter plus 1, then 0s."""
-    return keys[:, None] // 4 // 5 ** np.arange(m - 1, -1, -1) % 5
-
-
 def _address_key(a: Address, m: int) -> int:
     """The level-m key of a canonical address, which sorts as (word, base) tuples
     do: each word letter plus 1, zero-padded to m digits, read in base 5, then
@@ -308,11 +303,14 @@ def vertex_coords(g: LevelGraph) -> np.ndarray:
 def address_strings(g: LevelGraph) -> np.ndarray:
     """str(a) of every vertex a, in vertex order, spelled from the key digits
     without building an Address."""
-    digits = _word_digits(g.keys, g.level)
-    n, m = digits.shape
-    chars = np.zeros((n, m + 2), np.uint8)
-    chars[:, :m] = np.where(digits > 0, digits + (ord("0") - 1), 0)
-    rows, length = np.arange(n), np.count_nonzero(digits, axis=1)  # letters come first
+    m = g.level
+    chars = np.zeros((len(g.keys), m + 2), np.uint8)
+    word = g.keys // 4
+    for j in reversed(range(m)):  # the key's base-5 word digits: each letter plus 1, then 0s
+        word, chars[:, j] = np.divmod(word, 5)
+    letters = chars[:, :m]
+    rows, length = np.arange(len(chars)), np.count_nonzero(letters, axis=1)  # letters come first
+    np.add(letters, ord("0") - 1, out=letters, where=letters > 0)
     chars[rows, length] = ord(":")
     chars[rows, length + 1] = g.keys % 4 + ord("0")
     return chars.view(f"S{m + 2}")[:, 0].astype(str)  # numpy strips the NULs

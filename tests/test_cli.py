@@ -20,7 +20,8 @@ from tetralap import (
     cli, decimation, fractal_graph, laplacian, oracle, spectrum_from_json, enumerate_spectrum,
     harmonize,
 )
-from tetralap.cli import OUTDIR_ENV, _csv, _json_text, _parser, main
+from tetralap.cli import OUTDIR_ENV, _csv, _parser, main
+from test_fractal_graph import _reference_build
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -572,86 +573,139 @@ def test_readme_library_sketch_runs():
     assert namespace["born6"] == 18
 
 
+def _dumps(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
 # --- the JSON writer --------------------------------------------------------
-# _json_text must equal json.dumps(payload, indent=2) + "\n" for every payload
+# A document written by _json_document must equal json.dumps of its members'
+# values, for every record shape and scalar kind the commands write.  A record
+# list is written in blocks by _json_list from columns, one slot of the record
+# shape per column: each None is a slot for a number's text and each "%s" one
+# for a str that needs no escape.  Every list the commands write has a row.
 
 
+def _assert_written(member, value):
+    """The document {"level": 3, "k": member} is json.dumps of {"level": 3, "k": value};
+    its lines are compared, by index, as pytest's diff of two large texts takes minutes."""
+    got = "".join(cli._json_document({"level": 3, "k": member}))
+    assert got.splitlines(True) == _dumps({"level": 3, "k": value}).splitlines(True)
+
+
+def _filled(shape, values):
+    """shape with each of its slots, in document order, replaced by the next of values."""
+    if isinstance(shape, dict):
+        return {key: _filled(item, values) for key, item in shape.items()}
+    if isinstance(shape, list):
+        return [_filled(item, values) for item in shape]
+    return next(values) if shape in (None, "%s") else shape
+
+
+def _slots(shape):
+    """The slots of a shape, in document order."""
+    if isinstance(shape, (dict, list)):
+        for item in shape.values() if isinstance(shape, dict) else shape:
+            yield from _slots(item)
+    else:
+        yield shape
+
+
+def _record_list(shape, *columns):
+    """The record list member of the columns, written in blocks, and its records."""
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    return (cli._json_list(cli._template(shape), cli._blocks(*columns)),
+            [_filled(shape, iter(row)) for row in rows])
+
+
+FLOATS = [0.0, -0.0, 0.0, -0.0, 5e-324, 1e16, 1e-7, 0.1, 1.7976931348623157e308, -2.5, 1.0]
+INTS = [0, -1, 7, 2 ** 63 - 1, -(2 ** 63), 2 ** 64, -(2 ** 70)]
+STRS = ["", "-", "+-+-", "0:1", "0123:3", "a b", "%", "%s"]
+SHAPES = [
+    {"level": None, "value": None, "multiplicity": None, "birth_level": None,
+     "birth_value": None, "branches": "%s"},  # a spectrum record
+    [None, None],  # an edge, or a counting point
+    {"id": None, "word": None, "base": None, "xyz": [None] * 3},  # a graph vertex
+    {"value": None},
+    {"s": "%s", "x": [None]},
+]
+
+
+#: Column kinds: the numbers a None slot's column cycles through, and its type;
+#: a "range" column counts from its start, as a graph's vertex ids do.
+KINDS = {
+    "float list": (FLOATS, list), "float array": (FLOATS, np.array),
+    "int list": (INTS, list),  # ints past int64 fit only a list
+    "int array": (INTS[:5], np.array), "int and float list": ([1, 1.0, -0.0, 3], list),
+    "range": (None, list),
+}
+
+
+def _column(slot, kind, n, start):
+    """n values for a slot, cycled from the start-th: strs for "%s", else numbers of the kind."""
+    numbers, column = KINDS[kind]
+    if slot is None and numbers is None:
+        return range(start, start + n)
+    items = STRS if slot else numbers
+    return column([items[(start + i) % len(items)] for i in range(n)])
+
+
+#: A case is a member's value, written whole by json.dumps, or a (shape, column
+#: kind, rows) record list, written in blocks, among them lists of more than one block.
 WRITER_CASES = [
-    {}, [], (), [[]], [{}], [(), ()], {"a": {}, "b": []},
-    (1, 2.5, "x"), [(1, 2), (3, 4)], [(1, 2), [3, 4]], {"window": (0.5, 2.0)},
-    [1], [[1]], [[1], [2]], [[[1, 2]]], {"one": [{"v": 1.0, "w": 2}]},
-    [{"a": 1, "b": 2.0}, {"a": 3, "b": 4.0}], [{"a": 1, "b": 2}, {"b": 3, "a": 4}],
-    [{"a": 1}, {"b": 1}], [{"a": 1}, {"a": 1, "b": 2}], [{}, {}],
-    [[1, 2], [3, 4]], [[1, 2], [3]], [[1, 2.0], [3, 4.0]], [[1, [2]], [3, [4, 5]]],
-    [float("nan"), float("inf"), -float("inf")], [1.0, float("nan")], [-float("inf")],
-    [-0.0, 1e16, 5e-324, 1e-7, 0.1, 1.7976931348623157e308], [2 ** 64, -(2 ** 100), 0],
-    [True, False, None], [1, True], [0.5, np.float64(0.5)], [np.float64(0.1), np.float64("nan")],
-    ["é", "\u2028", "\x00\x01\x1f", "\ud800", "tab\tnew\nline", 'q"uote\\', "😀"],
-    {"%s": 1, "100%": [2, 3], 'k"ey': "v%d", "é\n": None, "": 0},
-    [{"%": 1.0, "%%s": "%s"}, {"%": 2.0, "%%s": "%(a)d"}],
-    "a string", 3, 2.5, None, float("nan"), True,
-    # lists of several lengths, the graph_json "word" column among them
-    [[], [0], [0, 3], [], [2], (1, 2)], [[], []], [[1.5, "x"], [2], ["%s", None, "\x00"]],
-    [[[1], []], [[2, [3]]], []], {"vertices": [{"word": []}, {"word": [0, 1]}, {"word": [3]}]},
-    # two bit patterns that == takes for one value
-    [0.0, -0.0, 0.0, -0.0],
+    *((shape, kind, n) for shape in SHAPES for kind in KINDS
+      for n in (len(FLOATS), cli._BLOCK + 1)),
+    [-0.0, 0.7, 0.1, -0.9],  # a harmonic document's boundary
+    {"alpha_hat": 0.77, "window": [1.0, 2.5], "points": 120, "nested": {"a": [], "b": {}}},
+    [], {}, [[]], "a string", 3, 2.5, None, float("nan"), True,
 ]
 
 
 @pytest.mark.parametrize("payload", WRITER_CASES)
 def test_json_writer_hand_picked(payload):
-    assert _json_text(payload) == json.dumps(payload, indent=2) + "\n"
+    if isinstance(payload, tuple):
+        shape, kind, n = payload
+        columns = [_column(slot, kind, n, start) for start, slot in enumerate(_slots(shape))]
+        _assert_written(*_record_list(shape, *columns))
+    else:
+        _assert_written(payload, payload)
 
 
-SPECIAL_SCALARS = [
-    0.0, -0.0, 1e16, 5e-324, float("nan"), float("inf"), -float("inf"), 2 ** 70, -1,
-    True, False, None, np.float64(0.25), "", "100%", "%s", 'a"b', "é\u2028\x07",
-]
-KEYS = ["a", "b", "value", "%", "%s", 'k"y', "é", "\n", ""]
+def _random_shape(rng, depth):
+    """A record shape: a slot, or a dict or list of one to three shapes."""
+    kind = rng.randrange(4) if depth > 0 else rng.randrange(2)
+    if kind < 2:
+        return [None, "%s"][kind]
+    items = [_random_shape(rng, depth - 1) for _ in range(rng.randint(1, 3))]
+    keys = ["a", "b", "value", "birth_level", "xyz", 'k"y', "é", ""]
+    return dict(zip(rng.sample(keys, len(items)), items)) if kind == 2 else items
 
 
-def _random_kind(rng, depth):
-    """A function giving values of one random kind: floats, ints, strs, special
-    scalars or nested payloads."""
-    return rng.choice([
-        lambda: rng.uniform(-1e6, 1e6),
-        lambda: rng.randint(-(2 ** 64), 2 ** 64),
-        lambda: "".join(rng.choice('ab%"\\é\n\x00😀') for _ in range(rng.randint(0, 4))),
-        lambda: rng.choice(SPECIAL_SCALARS),
-        lambda: _random_payload(rng, depth - 1),
-    ])
-
-
-def _random_payload(rng, depth):
-    if depth <= 0 or rng.random() < 0.2:
-        return rng.choice(SPECIAL_SCALARS + [rng.uniform(-1.0, 1.0), rng.randint(-9, 9)])
-    n, shape = rng.randint(0, 4), rng.randrange(5)
-    if shape == 0:  # a column of one kind
-        kind = _random_kind(rng, depth)
-        return [kind() for _ in range(n)]
-    if shape == 1:  # items of any kind
-        return [_random_payload(rng, depth - 1) for _ in range(n)]
-    if shape == 2:
-        return {rng.choice(KEYS): _random_payload(rng, depth - 1) for _ in range(n)}
-    if shape == 3:  # records: dicts with one key list, each key of one kind
-        kinds = {key: _random_kind(rng, depth) for key in rng.sample(KEYS, rng.randint(0, 3))}
-        return [{key: kind() for key, kind in kinds.items()} for _ in range(n)]
-    # rows: lists or tuples of one width, each position of one kind
-    kinds = [_random_kind(rng, depth) for _ in range(rng.randint(0, 3))]
-    return [rng.choice((list, tuple))(kind() for kind in kinds) for _ in range(n)]
+def _random_column(rng, slot, n):
+    """n values for a slot: strs for "%s", else floats or ints, as a list or,
+    when an int64 or float64 array holds them, sometimes as that array."""
+    if slot == "%s":
+        return ["".join(rng.choices("ab +-:0%s", k=rng.randint(0, 4))) for _ in range(n)]
+    if rng.random() < 0.5:
+        column = [rng.choice([rng.uniform(-1e6, 1e6), *FLOATS]) for _ in range(n)]
+    else:
+        column = [rng.choice([rng.randint(-(2 ** 62), 2 ** 62), *INTS]) for _ in range(n)]
+    fits = all(isinstance(x, float) or -(2 ** 63) <= x < 2 ** 63 for x in column)
+    return np.array(column) if fits and rng.random() < 0.5 else column
 
 
 def test_json_writer_random_payloads():
     rng = random.Random(20240915)
     for _ in range(500):
-        payload = _random_payload(rng, 4)
-        assert _json_text(payload) == json.dumps(payload, indent=2) + "\n", payload
+        shape = _random_shape(rng, 3)
+        n = cli._BLOCK + 1 if rng.random() < 0.02 else rng.randint(1, 5)
+        columns = [_random_column(rng, slot, n) for slot in _slots(shape)]
+        _assert_written(*_record_list(shape, *columns))
 
 
 def test_float_texts_keep_both_zeros(capsys):
     # floats are formatted once per bit pattern, so 0.0 and -0.0, which are
-    # ==, keep their own texts (the JSON case is among WRITER_CASES); 1 and
-    # 1.0 keep theirs too
+    # ==, keep their own texts (the JSON cases are the FLOATS columns of
+    # WRITER_CASES); 1 and 1.0 keep theirs too
     assert "".join(_csv("z", [[0.0, -0.0, 0.0, -0.0]])) == "z\n0.0\n-0.0\n0.0\n-0.0\n"
     assert "".join(_csv("n", [[1, 1.0, 1, 1.0]])) == "n\n1\n1.0\n1\n1.0\n"
     code, out, _ = run_cli(
@@ -663,16 +717,7 @@ def test_float_texts_keep_both_zeros(capsys):
     assert values == want and "-0.0" in values and "0.0" in values
 
 
-def test_json_writer_refuses_non_str_keys():
-    with pytest.raises(TypeError):
-        _json_text({1: 2})
-
-
 # --- documents written in blocks ----------------------------------------------
-
-
-def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("level", [*range(1, 9), 12])
@@ -708,16 +753,15 @@ def test_limit_and_counting_documents_are_their_dicts(capsys):
 @pytest.mark.parametrize("level", range(6))
 def test_graph_and_harmonic_documents_are_their_dicts(capsys, level):
     g = fractal_graph.build_level(level)
-    digits = fractal_graph._word_digits(g.keys, level).tolist()
-    rows = zip(digits, (g.keys % 4).tolist(), fractal_graph.vertex_coords(g).tolist())
-    vertices = [{"id": i, "word": [d - 1 for d in ds if d], "base": base, "xyz": xyz}
-                for i, (ds, base, xyz) in enumerate(rows)]
+    addresses, xyz = _reference_build(level)[0], fractal_graph.vertex_coords(g).tolist()
+    vertices = [{"id": i, "word": list(a.word), "base": a.base, "xyz": x}
+                for i, (a, x) in enumerate(zip(addresses, xyz))]
     code, out, _ = run_cli(capsys, "build-graph", "--level", str(level))
     assert code == 0
     assert out == _dumps({"level": level, "vertices": vertices, "edges": g.edges.tolist()})
     boundary = [-0.0, 0.7, 0.1, -0.9]
     u = harmonize(boundary, level)
-    values = dict(zip(fractal_graph.address_strings(g).tolist(), u.values.tolist()))
+    values = dict(zip(map(str, addresses), u.values.tolist()))
     code, out, _ = run_cli(capsys, "harmonic", "--boundary=-0.0,0.7,0.1,-0.9",
                            "--level", str(level), "--format", "json")
     assert code == 0
@@ -788,6 +832,25 @@ def test_a_refused_run_creates_no_file(tmp_path, capsys):
         code, out, _ = run_cli(capsys, *argv.split(), "--output", str(tmp_path / "doc"))
         assert (code, out) == (3, "")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["", "missing/", "missing/..", "file/"])
+def test_an_output_that_names_no_file_is_refused(tmp_path, capsys, monkeypatch, name):
+    # each is refused as open(name, "w") refuses it, and nothing is created:
+    # no file "missing" or "file", and no temporary file beside the working
+    # directory, which is what realpath makes of "" and "missing/.."
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "file").write_bytes(b"kept\n")
+    monkeypatch.chdir(work)
+    with pytest.raises(OSError) as refused:
+        open(name, "w")
+    code, out, err = run_cli(capsys, "spectrum", "--level", "8", "--output", name)
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"]["message"] == str(refused.value)
+    assert [p.name for p in tmp_path.iterdir()] == ["work"]
+    assert [p.name for p in work.iterdir()] == ["file"]
+    assert (work / "file").read_bytes() == b"kept\n"
 
 
 #: tracemalloc peaks of whole runs, in MB, measured at 3.3, 8.4 and 10.5 (Python
