@@ -66,25 +66,19 @@ def _boundary(text: str):
         raise argparse.ArgumentTypeError(f"malformed boundary values: {text!r}")
 
 
-def _float_texts(column) -> list[str]:
-    """repr of each float of column, repr called once per distinct float64 bit
-    pattern: a level's coordinates take a few hundred values among thousands.
-    Grouped by bits, not by ==, so 0.0 and -0.0 keep their own texts."""
-    bits = np.asarray(column, dtype=np.float64).view(np.uint64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    return texts[inverse].tolist()
-
-
 def _texts(column) -> list[str]:
-    """The text of each item of a column, as CSV and JSON write it: a column of
-    floats by _float_texts, of strs as it is, and any other item by repr.  An
-    array's items are of its dtype's kind; a list's are of their own types."""
-    kinds = {column.dtype.kind} if isinstance(column, np.ndarray) else set(map(type, column))
-    if kinds <= {"f", float}:
-        return _float_texts(column)
-    items = column.tolist() if isinstance(column, np.ndarray) else column
-    return items if kinds <= {"U", str} else list(map(repr, items))
+    """The text of each item of a column, as CSV and JSON write it.  A list is
+    of ready texts, and so are the strs of an array.  An array of numbers is
+    written by repr, called once per distinct bit pattern: a level's
+    coordinates take a few hundred values among thousands.  Grouped by bits,
+    not by ==, so 0.0 and -0.0 keep their own texts."""
+    if isinstance(column, list):
+        return column
+    if column.dtype.kind == "U":
+        return column.tolist()
+    distinct, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(column.dtype).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 def _blocks(*columns):
@@ -154,20 +148,16 @@ def _cmd_build_graph(args: argparse.Namespace):
     xyz = vertex_coords(g)
     if args.format == "json":
         vertices = ([ids, *_word_base_texts(names), *c.T]
-                    for ids, names, c in _blocks(range(g.n_vertices), address_strings(g), xyz))
+                    for ids, names, c in _blocks(np.arange(g.n_vertices), address_strings(g), xyz))
         return _json_document({
             "level": g.level,
             "vertices": _json_list(_template({"id": None, "word": None, "base": None,
                                               "xyz": [None] * 3}), vertices),
             "edges": _json_list(_template([None, None]), _blocks(*g.edges.T)),
         })
-    # each 1-based vertex id is formatted once as a line start and once as a line end
-    ids = range(1, g.n_vertices + 1)
-    starts = np.array([f"l {i}" for i in ids], dtype=object)
-    ends = np.array([f" {j}\n" for j in ids], dtype=object)
-    lines = ("".join((starts[e[:, 0]] + ends[e[:, 1]]).tolist()) for e, in _blocks(g.edges))
     return itertools.chain([f"# sierpinski tetrahedron level {g.level}\n"],
-                           _rows("v %s %s %s\n", _blocks(*xyz.T)), lines)
+                           _rows("v %s %s %s\n", _blocks(*xyz.T)),
+                           _rows("l %s %s\n", ((e + 1).T for e, in _blocks(g.edges))))
 
 
 def _cmd_harmonic(args: argparse.Namespace):

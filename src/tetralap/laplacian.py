@@ -49,12 +49,14 @@ def interior_laplacian(u: VertexFunction) -> np.ndarray:
 
 def renormalized_laplacian(u: VertexFunction, vertices) -> np.ndarray:
     """2 * 6^m * Delta_m u at the interior vertex indices ``vertices`` (one
-    index or any int array-like, such as graph.interior), in their shape; only
-    their neighbor rows are read.  It converges only for functions with a
-    continuous Laplacian; callers should inspect a profile across levels
-    rather than trust a single m."""
+    index or any int array-like, such as graph.interior, or an empty one), in
+    their shape; only their neighbor rows are read.  It converges only for
+    functions with a continuous Laplacian; callers should inspect a profile
+    across levels rather than trust a single m."""
     at, n = np.asarray(vertices), u.graph.n_vertices
-    if at.dtype.kind not in "iu" or (at.size and (at.min() < 4 or at.max() >= n)):
+    if not at.size:  # of any dtype: numpy reads [] as float64
+        at = at.astype(int)
+    elif at.dtype.kind not in "iu" or at.min() < 4 or at.max() >= n:
         raise ValueError(f"vertices must be interior indices 4..{n - 1}, got {vertices!r}")
     return 2.0 * 6.0 ** u.graph.level * _neighbor_sums(u, at)
 

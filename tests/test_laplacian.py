@@ -113,6 +113,14 @@ def test_renormalized_laplacian_refuses_non_interior_indices():
             renormalized_laplacian(u, at)
 
 
+def test_renormalized_laplacian_of_no_vertex_is_empty():
+    # numpy reads [] as float64, and an empty selection of any dtype names no index
+    u = harmonize((1, 0, 0, 0), 2)
+    for at in ([], range(0), np.array([], int), np.array([], np.uint8), np.zeros((0, 2))):
+        got = renormalized_laplacian(u, at)
+        assert got.dtype == np.float64 and got.shape == np.shape(at)
+
+
 # --- pointwise estimates -----------------------------------------------------
 
 
