@@ -28,6 +28,7 @@ from .fractal_graph import (
     LevelCapError,
     address_strings,
     build_level,
+    spell_keys,
     vertex_coords,
 )
 from .energy import harmonic_family, harmonize
@@ -147,8 +148,8 @@ def _cmd_build_graph(args: argparse.Namespace):
     g = build_level(args.level)
     xyz = vertex_coords(g)
     if args.format == "json":
-        vertices = ([ids, *_word_base_texts(names), *c.T]
-                    for ids, names, c in _blocks(np.arange(g.n_vertices), address_strings(g), xyz))
+        vertices = ([ids, *_word_base_texts(spell_keys(keys, g.level)), *c.T]
+                    for ids, keys, c in _blocks(np.arange(g.n_vertices), g.keys, xyz))
         return _json_document({
             "level": g.level,
             "vertices": _json_list(_template({"id": None, "word": None, "base": None,

@@ -267,10 +267,10 @@ class DimensionConstants:
 DIMENSION_CONSTANTS = DimensionConstants()
 
 
-def _children(lam_prev, sqrt=math.sqrt):
+def _children(lam_prev):
     """The minus and plus children 3 -/+ sqrt(9 - lam) of a parent value lam
-    <= 9, or of a column of them with sqrt=np.sqrt."""
-    root = sqrt(9.0 - lam_prev)
+    <= 9, or of a column of them."""
+    root = np.sqrt(9.0 - lam_prev)
     return lam_prev / (3.0 + root), 3.0 + root
 
 
@@ -348,7 +348,7 @@ def enumerate_spectrum(m: int) -> SpectrumTable:
         # one child per allowed (parent, branch), each parent's MINUS before its PLUS
         allowed = np.column_stack([~np.isin(values, _PLUS_ONLY), np.ones(len(values), bool)])
         parents, plus = np.nonzero(allowed)
-        minus_child, plus_child = _children(values[parents], np.sqrt)
+        minus_child, plus_child = _children(values[parents])
         births = {float(v): n for v, n in born_multiplicities(k).items() if n}
         values = np.concatenate([np.where(plus, plus_child, minus_child), list(births)])
         mults = np.concatenate([mults[parents], list(births.values())])
@@ -380,7 +380,7 @@ def _limits(table: SpectrumTable, count: int) -> LimitTable:
     prev = 2.0 * power * lam
     for gen in range(table.level + 1, table.level + LIMIT_GENERATION_CAP + 1):
         plus = np.isin(lam, _PLUS_ONLY)
-        minus_child, plus_child = _children(lam, np.sqrt)
+        minus_child, plus_child = _children(lam)
         lam = np.where(plus, plus_child, minus_child)
         taken = taken + plus
         power *= 6.0
@@ -537,7 +537,7 @@ def eigenfunction_family(
             u, lam = cache[k]
             branch = lineage.branches[k - birth:k - birth + 1] or _branches_after(lam)[0]
             minus, plus = _children(lam)
-            lam = minus if branch == MINUS else plus
+            lam = float(minus if branch == MINUS else plus)
             cache[k + 1] = (eigenfunction_extend(u, lam, target=lookup.get(k + 1)), lam)
         return cache[m][0]
 
@@ -547,22 +547,22 @@ def eigenfunction_family(
 # --- serialization ------------------------------------------------------
 
 
-def _json_rows(fields, rows):
-    """Rows (tuples in COLUMNS order) as JSON dicts, one field per column."""
-    return map(dict, map(zip, itertools.repeat(fields), rows))
-
-
-def _table_json(table: SpectrumTable):
-    """The table's rows as JSON dicts, read from the columns."""
-    return _json_rows(table.fields, table.rows())
-
-
 def spectrum_json(table: SpectrumTable) -> dict:
     return {
         "level": table.level,
         "total_multiplicity": table.total_multiplicity,
-        "records": list(_table_json(table)),
+        "records": list(map(dict, map(zip, itertools.repeat(table.fields), table.rows()))),
     }
+
+
+def _field(records, name):
+    """The name field of each record, None where it has none."""
+    return map(dict.get, records, itertools.repeat(name))
+
+
+def _typed(column):
+    """Each item of a column as a (type, value) pair."""
+    return zip(map(type, column), column)
 
 
 def spectrum_from_json(data: dict) -> SpectrumTable:
@@ -575,11 +575,10 @@ def spectrum_from_json(data: dict) -> SpectrumTable:
     level, stated, records = data["level"], data["total_multiplicity"], data["records"]
     if type(level) is not int or type(stated) is not int:
         raise ValueError(f"level and total_multiplicity must be integers: {level!r}, {stated!r}")
-    if not isinstance(records, list) or not all(
-        isinstance(r, dict) and type(r.get("multiplicity")) is int for r in records
-    ):
+    if not (isinstance(records, list) and all(map(isinstance, records, itertools.repeat(dict)))
+            and set(map(type, _field(records, "multiplicity"))) <= {int}):
         raise ValueError("records must be a list of objects with an integer multiplicity")
-    total = sum(r["multiplicity"] for r in records)
+    total = sum(_field(records, "multiplicity"))
     if total != stated:
         raise ValueError(f"multiplicities add up to {total}, not {stated}")
     table = enumerate_spectrum(level)
@@ -588,30 +587,25 @@ def spectrum_from_json(data: dict) -> SpectrumTable:
         block = slice(start, start + _BLOCK)
         want = [getattr(table, name)[block].tolist() for name in table.COLUMNS]
         got = records[block]
-        # compared column by column: dict.get gives None for a missing field,
-        # which no column holds, and == takes 1, 1.0 and true for one another,
-        # so each column's types are checked too; only a block that fails is
-        # scanned record by record
-        columns = [list(map(dict.get, got, itertools.repeat(field))) for field in fields]
+        # compared column by column: a missing field reads None, which no column
+        # holds, and == takes 1, 1.0 and true for one another, so each column's
+        # types are checked too; only a block that fails is searched row by row
+        columns = [list(_field(got, field)) for field in fields]
         if set(map(len, got)) == {len(fields)} and columns == want and all(
             set(map(type, column)) == {type(w[0])} for column, w in zip(columns, want)
         ):
             continue
-        for i, (want_record, got_record) in enumerate(
-            itertools.zip_longest(_json_rows(fields, zip(*want)), got), start
-        ):
-            if want_record == got_record and all(
-                type(got_record[k]) is type(v) for k, v in want_record.items()
-            ):
-                continue
-            differs = ValueError(f"record {i} differs from the level-{table.level} spectrum")
-            try:
-                lineage = Lineage(
-                    got_record["birth_level"], got_record["birth_value"], got_record["branches"]
-                )
-            except (KeyError, TypeError):  # no record here, or one without a lineage
-                raise differs from None
-            if lineage.level != table.level:
-                raise ValueError(f"record {i}: {lineage} does not end at level {table.level}")
-            raise differs
+        got_rows = zip(map(len, got), *map(_typed, columns))
+        want_rows = zip(itertools.repeat(len(fields)), *map(_typed, want))
+        i = next(i for i, (g, w) in enumerate(itertools.zip_longest(got_rows, want_rows), start)
+                 if g != w)
+        differs = ValueError(f"record {i} differs from the level-{table.level} spectrum")
+        try:
+            lineage = Lineage(records[i]["birth_level"], records[i]["birth_value"],
+                              records[i]["branches"])
+        except (IndexError, KeyError, TypeError):  # no record here, or one without a lineage
+            raise differs from None
+        if lineage.level != table.level:
+            raise ValueError(f"record {i}: {lineage} does not end at level {table.level}")
+        raise differs
     return table

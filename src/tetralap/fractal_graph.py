@@ -301,16 +301,20 @@ def vertex_coords(g: LevelGraph) -> np.ndarray:
 
 
 def address_strings(g: LevelGraph) -> np.ndarray:
-    """str(a) of every vertex a, in vertex order, spelled from the key digits
+    """str(a) of every vertex a, in vertex order."""
+    return spell_keys(g.keys, g.level)
+
+
+def spell_keys(keys: np.ndarray, m: int) -> np.ndarray:
+    """str(a) of the vertex a of each level-m key, spelled from the key digits
     without building an Address."""
-    m = g.level
-    chars = np.zeros((len(g.keys), m + 2), np.uint8)
-    word = g.keys // 4
+    chars = np.zeros((len(keys), m + 2), np.uint8)
+    word = keys // 4
     for j in reversed(range(m)):  # the key's base-5 word digits: each letter plus 1, then 0s
         word, chars[:, j] = np.divmod(word, 5)
     letters = chars[:, :m]
     rows, length = np.arange(len(chars)), np.count_nonzero(letters, axis=1)  # letters come first
     np.add(letters, ord("0") - 1, out=letters, where=letters > 0)
     chars[rows, length] = ord(":")
-    chars[rows, length + 1] = g.keys % 4 + ord("0")
+    chars[rows, length + 1] = keys % 4 + ord("0")
     return chars.view(f"S{m + 2}")[:, 0].astype(str)  # numpy strips the NULs

@@ -904,14 +904,13 @@ def test_documents_are_streamed(tmp_path, capsys, monkeypatch, argv):
         assert peaks[1] < target.stat().st_size / 2
 
 
-def test_obj_peak_is_near_the_graph(tmp_path, capsys):
-    # the l lines are formatted a block at a time, as every column is: a run at
-    # level 8 peaks 6.5 MB above its 18.9 MB of graph tables and coordinates
-    # (Python 3.11, numpy 2.4), against 23.3 MB with per-vertex id texts
+def _peak_above_level8_graph(tmp_path, capsys, fmt):
+    """The tracemalloc peak of build-graph --level 8 in this format, less the
+    18.9 MB of its graph tables and coordinates."""
     g = fractal_graph.build_level(8)
     held = sum(a.nbytes for a in (g.keys, g.cells, g.neighbors, g.edges,
                                    fractal_graph.vertex_coords(g)))
-    argv = ["build-graph", "--level", "8", "--format", "obj", "--output", str(tmp_path / "g.obj")]
+    argv = ["build-graph", "--level", "8", "--format", fmt, "--output", str(tmp_path / "g")]
     tracemalloc.start()
     try:
         code, _, _ = run_cli(capsys, *argv)
@@ -919,4 +918,18 @@ def test_obj_peak_is_near_the_graph(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak - held < 12e6
+    return peak - held
+
+
+def test_obj_peak_is_near_the_graph(tmp_path, capsys):
+    # the l lines are formatted a block at a time, as every column is: a run at
+    # level 8 peaks 6.5 MB above its 18.9 MB of graph tables and coordinates
+    # (Python 3.11, numpy 2.4), against 23.3 MB with per-vertex id texts
+    assert _peak_above_level8_graph(tmp_path, capsys, "obj") < 12e6
+
+
+def test_graph_json_peak_is_near_the_graph(tmp_path, capsys):
+    # each block's words and bases are spelled from that block's keys: a run at
+    # level 8 peaks 7.6 MB above the graph (Python 3.11, numpy 2.4), against
+    # 12.8 MB with the whole address column spelled first
+    assert _peak_above_level8_graph(tmp_path, capsys, "json") < 10e6

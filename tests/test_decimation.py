@@ -954,6 +954,21 @@ def _edit(records, i, **fields):
                  id="extra-key"),
     pytest.param(lambda rs: _edit(_edit(rs, 60000, value=0.5), 40000, value=0.5),
                  "record 40000 differs", id="first-of-two"),
+    pytest.param(lambda rs: _edit(rs, 4095, value=0.5), "record 4095 differs",
+                 id="last-of-first-block"),
+    pytest.param(lambda rs: _edit(rs, 4096, value=0.5), "record 4096 differs",
+                 id="first-of-second-block"),
+    pytest.param(lambda rs: _edit(rs, 8191, value=0.5), "record 8191 differs",
+                 id="last-of-second-block"),
+    pytest.param(lambda rs: rs[:40000] + [list(rs[40000].values())] + rs[40001:],
+                 "records must be a list of objects with an integer multiplicity",
+                 id="record-list"),
+    pytest.param(lambda rs: _edit(rs, 40000, multiplicity=2.0),
+                 "records must be a list of objects with an integer multiplicity",
+                 id="float-multiplicity"),
+    pytest.param(lambda rs: _edit(rs, 40000, multiplicity=True),
+                 "records must be a list of objects with an integer multiplicity",
+                 id="true-multiplicity"),
     pytest.param(lambda rs: rs[:-1], "record 65534 differs", id="one-short"),
     pytest.param(lambda rs: rs + rs[-1:], "record 65535 differs", id="one-long"),
     pytest.param(lambda rs: rs + [{**rs[-1], "birth_level": 14}],
@@ -962,11 +977,12 @@ def _edit(records, i, **fields):
 ])
 def test_spectrum_from_json_names_the_first_differing_record(level15_records, edit, message):
     records = edit(level15_records)
-    doc = {"level": 15, "total_multiplicity": sum(r["multiplicity"] for r in records),
-           "records": records}
+    # an integer total that the records state, so that only the records are refused
+    total = sum(int(r["multiplicity"]) for r in records if isinstance(r, dict))
+    doc = {"level": 15, "total_multiplicity": total, "records": records}
     with pytest.raises(ValueError) as excinfo:
         spectrum_from_json(doc)
-    if "does not end" not in message:
+    if message.endswith(" differs"):
         message += " from the level-15 spectrum"
     assert str(excinfo.value) == message
 
