@@ -3,7 +3,7 @@
 Every subcommand writes a deterministic document (JSON, CSV, OBJ or
 text) to --output or stdout, so repeated runs with the same flags are
 byte-identical.  The library returns data; this module alone turns it
-into text, as blocks of at most _BLOCK rows formatted from its columns.
+into text, in the row blocks of decimation.blocks, formatted from its columns.
 Exit codes: 0 ok, 2 usage, 3 domain error (caps, invalid values), 4 I/O
 failure.  Relative --output paths resolve against $TETRALAP_OUTDIR when
 it is set.
@@ -34,8 +34,8 @@ from .fractal_graph import (
 from .energy import harmonic_family, harmonize
 from .laplacian import renormalized_laplacian
 from .decimation import (
-    _BLOCK,
     DIMENSION_CONSTANTS,
+    blocks,
     counting_function,
     enumerate_spectrum,
     limit_spectrum,
@@ -82,26 +82,20 @@ def _texts(column) -> list[str]:
     return texts[inverse].tolist()
 
 
-def _blocks(*columns):
-    """Equal-length columns, _BLOCK rows at a time."""
-    for start in range(0, len(columns[0]), _BLOCK):
-        yield [column[start:start + _BLOCK] for column in columns]
-
-
 def _rows(template: str, blocks, sep: str = ""):
-    """One text per block of columns: each row one join of the template's parts
-    with its texts in the %s slots, rows joined by sep, and sep before every
-    block but the first."""
+    """One text per (start, columns) block: each row one join of the template's
+    parts with its texts in the %s slots, rows joined by sep, and sep before
+    every block but the first."""
     parts = list(map(itertools.repeat, template.split("%s")))
-    for n, columns in enumerate(blocks):
+    for start, columns in blocks:
         texts = [x for pair in zip(parts, map(_texts, columns)) for x in pair] + parts[-1:]
-        yield (sep if n else "") + sep.join(map("".join, zip(*texts)))
+        yield (sep if start else "") + sep.join(map("".join, zip(*texts)))
 
 
 def _csv(header: str, columns):
     """A CSV document in blocks, from equal-length columns, each one row field."""
     yield header + "\n"
-    yield from _rows(",".join(["%s"] * len(columns)) + "\n", _blocks(*columns))
+    yield from _rows(",".join(["%s"] * len(columns)) + "\n", blocks(*columns))
 
 
 def _template(shape) -> str:
@@ -133,7 +127,7 @@ def _json_document(members: dict):
 def _table_list(table):
     """The table's records; a branches string needs no escape, for it holds only - and +."""
     shape = {field: "%s" if dtype is np.str_ else None for field, dtype in table.COLUMNS.values()}
-    return _json_list(_template(shape), _blocks(*(getattr(table, name) for name in table.COLUMNS)))
+    return _json_list(_template(shape), blocks(*(getattr(table, name) for name in table.COLUMNS)))
 
 
 def _word_base_texts(addresses) -> list[list[str]]:
@@ -148,17 +142,18 @@ def _cmd_build_graph(args: argparse.Namespace):
     g = build_level(args.level)
     xyz = vertex_coords(g)
     if args.format == "json":
-        vertices = ([ids, *_word_base_texts(spell_keys(keys, g.level)), *c.T]
-                    for ids, keys, c in _blocks(np.arange(g.n_vertices), g.keys, xyz))
+        vertices = ((start, [list(map(repr, range(start, start + len(keys)))),
+                             *_word_base_texts(spell_keys(keys, g.level)), *c.T])
+                    for start, (keys, c) in blocks(g.keys, xyz))
         return _json_document({
             "level": g.level,
             "vertices": _json_list(_template({"id": None, "word": None, "base": None,
                                               "xyz": [None] * 3}), vertices),
-            "edges": _json_list(_template([None, None]), _blocks(*g.edges.T)),
+            "edges": _json_list(_template([None, None]), blocks(*g.edges.T)),
         })
     return itertools.chain([f"# sierpinski tetrahedron level {g.level}\n"],
-                           _rows("v %s %s %s\n", _blocks(*xyz.T)),
-                           _rows("l %s %s\n", ((e + 1).T for e, in _blocks(g.edges))))
+                           _rows("v %s %s %s\n", blocks(*xyz.T)),
+                           _rows("l %s %s\n", ((s, (e + 1).T) for s, (e,) in blocks(g.edges))))
 
 
 def _cmd_harmonic(args: argparse.Namespace):
@@ -166,7 +161,7 @@ def _cmd_harmonic(args: argparse.Namespace):
     addresses = address_strings(u.graph)
     if args.format == "json":
         return _json_document({"level": args.level, "boundary": list(args.boundary),
-                               "values": _json_list('"%s": %s', _blocks(addresses, u.values), "{}")})
+                               "values": _json_list('"%s": %s', blocks(addresses, u.values), "{}")})
     return _csv("address,x,y,z,value", [addresses, *vertex_coords(u.graph).T, u.values])
 
 
@@ -205,7 +200,7 @@ def _cmd_counting(args: argparse.Namespace):
                 if args.use_limit else enumerate_spectrum(getattr(args, "level", 3)))
     points = [spectrum.values, counting_function(spectrum, spectrum.values)]
     if args.format == "json":
-        return _json_document({"points": _json_list(_template([None, None]), _blocks(*points))})
+        return _json_document({"points": _json_list(_template([None, None]), blocks(*points))})
     return _csv("x,N", points)
 
 

@@ -51,10 +51,17 @@ SPECTRUM_LEVEL_CAP = 15
 LIMIT_REL_TOL = 1e-12
 LIMIT_GENERATION_CAP = 60
 
-#: Rows checked against Lineage's rules, built as records, or compared by
-#: spectrum_from_json, at a time: enough to keep the per-block calls cheap, few
-#: enough to keep transient arrays and lists small.
+#: Rows checked against Lineage's rules, built as records, compared by
+#: spectrum_from_json or written by the CLI, at a time: enough to keep the
+#: per-block calls cheap, few enough to keep transient arrays and lists small.
 _BLOCK = 4096
+
+
+def blocks(*columns):
+    """(start, slices) for each _BLOCK-row block of the longest column: each
+    column's rows start to start + _BLOCK, short or empty past its end."""
+    for start in range(0, max(map(len, columns)), _BLOCK):
+        yield start, [column[start:start + _BLOCK] for column in columns]
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,9 +167,7 @@ class SpectrumTable:
             raise ValueError(f"value must be finite, got {self.values[~np.isfinite(self.values)][0]}")
         if (self.values[1:] < self.values[:-1]).any():
             raise ValueError("values must ascend")
-        for start in range(0, len(self), _BLOCK):
-            block = [column[start:start + _BLOCK]
-                     for column in (self.birth_levels, self.birth_values, self.branches)]
+        for _, block in blocks(self.birth_levels, self.birth_values, self.branches):
             for bad in np.flatnonzero(_lineage_faults(*block))[:1]:
                 Lineage(*(column[bad].item() for column in block))
 
@@ -189,10 +194,8 @@ class SpectrumTable:
         once, not grown."""
         columns = [getattr(self, name)[rows] for name in self.COLUMNS]
         built = [None] * len(columns[0])
-        for start in range(0, len(built), _BLOCK):
-            value, mult, level, born, branches, *rest = _scalars(
-                column[start:start + _BLOCK] for column in columns
-            )
+        for start, block in blocks(*columns):
+            value, mult, level, born, branches, *rest = _scalars(block)
             lineages = _new(Lineage, level, born, branches)
             built[start:start + _BLOCK] = _new(self.ROW, value, mult, lineages, *rest)
         return built
@@ -267,11 +270,11 @@ class DimensionConstants:
 DIMENSION_CONSTANTS = DimensionConstants()
 
 
-def _children(lam_prev):
-    """The minus and plus children 3 -/+ sqrt(9 - lam) of a parent value lam
-    <= 9, or of a column of them."""
-    root = np.sqrt(9.0 - lam_prev)
-    return lam_prev / (3.0 + root), 3.0 + root
+def _child(lam, plus):
+    """The plus child 3 + sqrt(9 - lam) of a parent value lam <= 9 where plus
+    holds, else its minus child 3 - sqrt(9 - lam); of one value or a column."""
+    root = np.sqrt(9.0 - lam)
+    return np.where(plus, 3.0 + root, lam / (3.0 + root))
 
 
 def _branches_after(lam: float) -> str:
@@ -348,9 +351,8 @@ def enumerate_spectrum(m: int) -> SpectrumTable:
         # one child per allowed (parent, branch), each parent's MINUS before its PLUS
         allowed = np.column_stack([~np.isin(values, _PLUS_ONLY), np.ones(len(values), bool)])
         parents, plus = np.nonzero(allowed)
-        minus_child, plus_child = _children(values[parents])
         births = {float(v): n for v, n in born_multiplicities(k).items() if n}
-        values = np.concatenate([np.where(plus, plus_child, minus_child), list(births)])
+        values = np.concatenate([_child(values[parents], plus), list(births)])
         mults = np.concatenate([mults[parents], list(births.values())])
         levels = np.concatenate([levels[parents], [k] * len(births)])
         born_at = np.concatenate([born_at[parents], list(births)])
@@ -374,34 +376,35 @@ def _limits(table: SpectrumTable, count: int) -> LimitTable:
     LIMIT_GENERATION_CAP generations.
     """
     size = len(table)
-    limits, generations, pluses = np.empty(size), np.empty(size, np.int64), np.empty(size, np.int64)
-    rows, lam, taken = np.arange(size), table.values, np.zeros(size, np.int64)
+    limits, generations = np.empty(size), np.empty(size, np.int64)
+    rows, lam = np.arange(size), table.values
     power = 6.0 ** table.level
     prev = 2.0 * power * lam
     for gen in range(table.level + 1, table.level + LIMIT_GENERATION_CAP + 1):
-        plus = np.isin(lam, _PLUS_ONLY)
-        minus_child, plus_child = _children(lam)
-        lam = np.where(plus, plus_child, minus_child)
-        taken = taken + plus
+        lam = _child(lam, np.isin(lam, _PLUS_ONLY))
         power *= 6.0
         cur = 2.0 * power * lam
         done = np.abs(cur - prev) <= LIMIT_REL_TOL * np.abs(cur)
         stop = rows[done]
-        limits[stop], generations[stop], pluses[stop] = cur[done], gen, taken[done]
+        limits[stop], generations[stop] = cur[done], gen
         moving = ~done
-        rows, lam, prev, taken = rows[moving], lam[moving], cur[moving], taken[moving]
+        rows, lam, prev = rows[moving], lam[moving], cur[moving]
         if not len(rows):
             break
     else:
+        lineage = Lineage(*(column[rows[0]].item()
+                            for column in (table.birth_levels, table.birth_values, table.branches)))
         raise ValueError(
-            f"the limit of {table[int(rows[0])].lineage} did not converge within "
+            f"the limit of {lineage} did not converge within "
             f"LIMIT_GENERATION_CAP = {LIMIT_GENERATION_CAP} generations"
         )
     rows = np.argsort(limits, kind="stable")[:count]
-    continued = np.char.add(table.branches[rows], np.char.multiply(PLUS, pluses[rows]))
+    # a plus child (4) and every minus child lie below 8, so only a row starting
+    # on a _PLUS_ONLY value takes a plus, on its first step alone
+    plus = np.where(np.isin(table.values[rows], _PLUS_ONLY), PLUS, "")
     return LimitTable(
         table.level, limits[rows], table.multiplicities[rows], table.birth_levels[rows],
-        table.birth_values[rows], continued, generations[rows],
+        table.birth_values[rows], np.char.add(table.branches[rows], plus), generations[rows],
     )
 
 
@@ -536,8 +539,7 @@ def eigenfunction_family(
         for k in range(max(cache), m):
             u, lam = cache[k]
             branch = lineage.branches[k - birth:k - birth + 1] or _branches_after(lam)[0]
-            minus, plus = _children(lam)
-            lam = float(minus if branch == MINUS else plus)
+            lam = float(_child(lam, branch == PLUS))
             cache[k + 1] = (eigenfunction_extend(u, lam, target=lookup.get(k + 1)), lam)
         return cache[m][0]
 
@@ -583,10 +585,8 @@ def spectrum_from_json(data: dict) -> SpectrumTable:
         raise ValueError(f"multiplicities add up to {total}, not {stated}")
     table = enumerate_spectrum(level)
     fields = table.fields
-    for start in range(0, max(len(table), len(records)), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        want = [getattr(table, name)[block].tolist() for name in table.COLUMNS]
-        got = records[block]
+    for start, (got, *want) in blocks(records, *(getattr(table, name) for name in table.COLUMNS)):
+        want = [column.tolist() for column in want]
         # compared column by column: a missing field reads None, which no column
         # holds, and == takes 1, 1.0 and true for one another, so each column's
         # types are checked too; only a block that fails is searched row by row

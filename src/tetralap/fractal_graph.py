@@ -291,12 +291,16 @@ def level_graph(m: int, given: LevelGraph | None = None) -> LevelGraph:
 
 def vertex_coords(g: LevelGraph) -> np.ndarray:
     """(N, 3) positions of all vertices: each key digit d > 0, last letter first,
-    moves the base corner x to (x + P_{d-1}) / 2, the midpoint map f_{d-1}."""
+    moves x to (x + P_{d-1}) / 2, the midpoint map f_{d-1}, in place per axis."""
     x = CORNER_COORDS[g.keys % 4]
     word = g.keys // 4
+    steps = np.vstack([np.zeros(3), CORNER_COORDS])  # row d is P_{d-1}
     for _ in range(g.level):  # the key's base-5 word digits, last letter first
         word, d = np.divmod(word, 5)
-        x = np.where(d[:, None] > 0, (x + CORNER_COORDS[d - 1]) / 2.0, x)
+        moved = d > 0
+        for a, column in enumerate(x.T):
+            np.add(column, steps[d, a], out=column, where=moved)
+            np.divide(column, 2.0, out=column, where=moved)
     return x
 
 

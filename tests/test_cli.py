@@ -613,7 +613,7 @@ def _slots(shape):
 def _record_list(shape, *columns):
     """The record list member of the columns, written in blocks, and its records."""
     rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
-    return (cli._json_list(cli._template(shape), cli._blocks(*columns)),
+    return (cli._json_list(cli._template(shape), decimation.blocks(*columns)),
             [_filled(shape, iter(row)) for row in rows])
 
 
@@ -654,7 +654,7 @@ def _column(slot, kind, n, start):
 #: kind, rows) record list, written in blocks, among them lists of more than one block.
 WRITER_CASES = [
     *((shape, kind, n) for shape in SHAPES for kind in KINDS
-      for n in (1, len(FLOATS), cli._BLOCK + 1)),
+      for n in (1, len(FLOATS), decimation._BLOCK + 1)),
     [-0.0, 0.7, 0.1, -0.9],  # a harmonic document's boundary
     {"alpha_hat": 0.77, "window": [1.0, 2.5], "points": 120, "nested": {"a": [], "b": {}}},
     [], {}, [[]], "a string", 3, 2.5, None, float("nan"), True,
@@ -696,7 +696,7 @@ def test_json_writer_random_payloads():
     rng = random.Random(20240915)
     for _ in range(500):
         shape = _random_shape(rng, 3)
-        n = cli._BLOCK + 1 if rng.random() < 0.02 else rng.randint(1, 5)
+        n = decimation._BLOCK + 1 if rng.random() < 0.02 else rng.randint(1, 5)
         columns = [_random_column(rng, slot, n) for slot in _slots(shape)]
         _assert_written(*_record_list(shape, *columns))
 
@@ -727,7 +727,7 @@ def test_every_item_is_written_by_its_repr(column):
     # the six int32 items would be three
     want = list(map(repr, column.tolist()))
     assert "".join(_csv("c", [column])) == "c\n" + "".join(t + "\n" for t in want)
-    written = "".join(cli._json_list("%s", cli._blocks(column)))
+    written = "".join(cli._json_list("%s", decimation.blocks(column)))
     assert written == "[\n    " + ",\n    ".join(want) + "\n  ]"
 
 

@@ -987,6 +987,41 @@ def test_spectrum_from_json_names_the_first_differing_record(level15_records, ed
     assert str(excinfo.value) == message
 
 
+def test_spectrum_from_json_walks_past_the_table(level15_records):
+    # the compare walks the longer of the document and the table, so records
+    # past the table's last block are refused at the first of them
+    records = level15_records + level15_records[-5000:]
+    doc = {"level": 15, "total_multiplicity": sum(r["multiplicity"] for r in records),
+           "records": records}
+    with pytest.raises(ValueError, match="^record 65535 differs from the level-15 spectrum$"):
+        spectrum_from_json(doc)
+
+
+def test_blocks_walk_the_longest_column():
+    walked = [(start, [list(c) for c in cs])
+              for start, cs in decimation.blocks(range(decimation._BLOCK + 2), range(3))]
+    assert [start for start, _ in walked] == [0, decimation._BLOCK]
+    assert walked[0][1] == [list(range(decimation._BLOCK)), [0, 1, 2]]
+    assert walked[1][1] == [[decimation._BLOCK, decimation._BLOCK + 1], []]
+    assert list(decimation.blocks([], [])) == []
+
+
+@pytest.mark.parametrize("rows", [decimation._BLOCK, 2 * decimation._BLOCK])
+def test_table_refuses_a_lineage_fault_in_the_last_row_of_its_last_block(rows):
+    # the lineage check runs a block at a time; a table that fills its blocks
+    # exactly is checked to its last row, here a 2 born at level 2
+    levels = np.ones(rows, np.int64)
+    levels[-1] = 2
+    columns = [np.arange(rows, dtype=float), np.ones(rows, np.int64), levels,
+               np.full(rows, 2.0), np.full(rows, "")]
+    want = _error(lambda: Lineage(2, 2.0))
+    assert want == (ValueError, "no eigenvalue 2.0 is born at level 2")
+    assert _error(lambda: SpectrumTable(1, *columns)) == want
+    levels[-1] = 1
+    assert len(SpectrumTable(1, *columns)) == rows
+    assert len(SpectrumTable(1, *(column[:0] for column in columns))) == 0
+
+
 def test_spectrum_json_round_trip_level15(level15_records):
     table = enumerate_spectrum(15)
     doc = json.loads(json.dumps(spectrum_json(table)))

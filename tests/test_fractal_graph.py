@@ -431,6 +431,20 @@ def test_address_strings_peak_is_near_their_result():
     assert peak < 3 * names.nbytes
 
 
+def test_vertex_coords_peak_is_near_their_result():
+    # the (N, 3) result is updated in place, one axis at a time: 2.38 times the
+    # 3.1 MB result at level 8 (Python 3.11, numpy 2.4), against 3.71 for the
+    # np.where over whole (N, 3) arrays it replaced
+    g = build_level(8)
+    tracemalloc.start()
+    try:
+        xyz = vertex_coords(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6 * xyz.nbytes
+
+
 @pytest.mark.parametrize("m", range(5))
 def test_graph_json_words_and_bases_match_addresses(graphs, capsys, m):
     g = graphs(m)
