@@ -39,7 +39,7 @@ from typing import ClassVar
 import numpy as np
 
 from .fractal_graph import LevelCapError, LevelGraph, is_integer, level_graph
-from .energy import FORBIDDEN_VALUES, ForbiddenEigenvalueError, VertexFunction, eigenfunction_extend
+from .energy import FORBIDDEN_VALUES, VertexFunction, eigenfunction_extend
 from . import oracle as _oracle
 
 MINUS, PLUS = "-", "+"
@@ -140,6 +140,9 @@ class SpectrumTable:
     branches: np.ndarray
 
     def __post_init__(self):
+        if not is_integer(self.level):
+            raise TypeError(f"level must be an integer, got {self.level!r}")
+        object.__setattr__(self, "level", int(self.level))
         for name, (field, dtype) in self.COLUMNS.items():
             given, label, kind = getattr(self, name), field.replace("_", " "), np.dtype(dtype).kind
             if not (isinstance(given, np.ndarray) and given.dtype.kind == kind):
@@ -187,33 +190,24 @@ class SpectrumTable:
         """The rows as tuples of Python scalars, in COLUMNS order."""
         return zip(*_scalars(getattr(self, name) for name in self.COLUMNS))
 
-    def _build(self, rows=slice(None)) -> list:
-        """The selected rows as ROW records, as ROW(value, multiplicity,
-        Lineage(...), *rest) makes them, but a block at a time without __init__:
-        the table checked every lineage when it was made.  The list is sized
-        once, not grown."""
-        columns = [getattr(self, name)[rows] for name in self.COLUMNS]
-        built = [None] * len(columns[0])
-        for start, block in blocks(*columns):
+    @functools.cached_property
+    def records(self) -> tuple:
+        """The rows as ROW records, as ROW(value, multiplicity, Lineage(...),
+        *rest) makes them, but built a block at a time without __init__ on
+        first access, and cached: the table checked every lineage when it was
+        made.  The list is sized once, not grown."""
+        built = [None] * len(self)
+        for start, block in blocks(*(getattr(self, name) for name in self.COLUMNS)):
             value, mult, level, born, branches, *rest = _scalars(block)
             lineages = _new(Lineage, level, born, branches)
             built[start:start + _BLOCK] = _new(self.ROW, value, mult, lineages, *rest)
-        return built
-
-    @functools.cached_property
-    def records(self) -> tuple:
-        """The rows as ROW records, built in bulk on first access and cached."""
-        return tuple(self._build())
+        return tuple(built)
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self._build(i))
-        k = range(len(self))[i]  # negative i and IndexError as on a tuple
-        (row,) = self._build(slice(k, k + 1))
-        return row
+        return self.records[i]
 
     def __iter__(self):
         return iter(self.records)

@@ -135,6 +135,9 @@ class LevelGraph:
     boundary = (0, 1, 2, 3)
 
     def __post_init__(self):
+        if not is_integer(self.level):
+            raise TypeError(f"level must be an integer, got {self.level!r}")
+        object.__setattr__(self, "level", int(self.level))
         _read_only(self.keys)
         _read_only(self.cells)
 

@@ -30,6 +30,7 @@ from tetralap import (
     VertexFunction,
     born_eigenbasis,
     born_multiplicities,
+    build_level,
     counting_function,
     eigenfunction_extend,
     eigenfunction_family,
@@ -196,14 +197,13 @@ def test_tables_at_the_cap_are_pinned(build, dtype, digest):
     pytest.param(lambda: enumerate_spectrum(6), id="graph"),
     pytest.param(lambda: limit_spectrum(6, 127), id="limit"),
 ])
-def test_limit_table_item_builds_one_row(build):
+def test_table_items_and_slices_are_the_cached_records(build):
     table = build()
     first, last = table[0], table[-1]
-    assert "records" not in vars(table)  # no other row was built
+    assert first is table.records[0] and last is table.records[-1]
     assert isinstance(first, EigenvalueRecord)
     assert type(first) is table.ROW
     part, backward = table[3:9], table[::-1]
-    assert "records" not in vars(table)  # a slice builds its own rows only
     assert (first, last) == (table.records[0], table.records[-1])
     assert [table[i] for i in range(-127, 127)] == list(table.records) * 2
     assert table[np.int64(5)] == table.records[5]
@@ -468,6 +468,18 @@ def test_lineage_rejects_birth_levels_that_are_not_integers(birth_level, birth_v
     # a float level would fail later, inside range(); True would pass as level 1
     with pytest.raises(TypeError, match="birth level must be an integer"):
         Lineage(birth_level, birth_value)
+
+
+def test_levels_are_stored_as_ints():
+    # an np.int64 level would reach the documents, which json cannot write
+    assert json.dumps(spectrum_json(enumerate_spectrum(np.int64(3)))) == json.dumps(
+        spectrum_json(enumerate_spectrum(3)))
+    assert type(limit_spectrum(np.int64(4), 10).level) is int
+    assert type(build_level(np.int64(2)).level) is int
+    with pytest.raises(TypeError, match="level must be an integer, got True"):
+        build_level(True)
+    with pytest.raises(TypeError, match="level must be an integer, got 1.0"):
+        SpectrumTable(1.0, [2.0], [1], [1], [2.0], [""])
 
 
 def test_spectrum_level_cap():
