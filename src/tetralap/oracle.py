@@ -80,16 +80,6 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(b))
 
 
-def _turn(x: np.ndarray, y: np.ndarray, c: float, s: float) -> None:
-    """x, y = c*x - s*y, s*x + c*y in place: each entry is two rounded
-    products and one rounded sum, whichever order the sum is written in."""
-    sx = s * x
-    x *= c
-    x -= s * y
-    y *= c
-    y += sx
-
-
 def jacobi_eigen(a: DirichletMatrix | np.ndarray) -> EigenDecomposition:
     """Full symmetric eigendecomposition by cyclic Jacobi rotations.
 
@@ -105,11 +95,13 @@ def jacobi_eigen(a: DirichletMatrix | np.ndarray) -> EigenDecomposition:
     if fro == 0.0 or n == 1:
         return EigenDecomposition(np.diag(work).copy(), np.eye(n), 0.0, 0)
 
-    # row p of the matrix and of the eigenvectors stored as rows (vt is
-    # vee.T) sit side by side in both[p], so one update turns both rows
+    # both[p] holds row p of the matrix and of vt = vee.T, so one update turns
+    # both rows; columns turn as rows of the transpose.  Views, scratch rows
+    # and 0-d scalars are made once per call: a rotation allocates nothing
     both = np.stack([work, np.eye(n)], axis=1)
     work, vt = both[:, 0], both[:, 1]
-    cols = work.T  # the column update is a row update of the transpose
+    c, s, h, scratch = np.empty(()), np.empty(()), np.empty(()), np.empty((2, 2, n))
+    turns = ((list(both), *scratch), (list(work.T), *scratch[:, 0]))  # views, s*x, s*y
     sweeps = 0
     while True:
         off = _off_norm(work)
@@ -134,19 +126,21 @@ def jacobi_eigen(a: DirichletMatrix | np.ndarray) -> EigenDecomposition:
                     t = 1.0
                 else:
                     # np.hypot, not math.hypot, which may round differently
-                    t = math.copysign(1.0, theta) / (abs(theta) + float(np.hypot(1.0, theta)))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                _turn(both[p], both[q], c, s)
-                _turn(cols[p], cols[q], c, s)
+                    t = math.copysign(1.0, theta) / (abs(theta) + np.hypot(1.0, theta, out=h).item())
+                c[()] = cs = 1.0 / math.sqrt(t * t + 1.0)
+                s[()] = t * cs
+                # x, y = c*x - s*y, s*x + c*y in place: each entry is two rounded
+                # products and one rounded sum, whichever order the sum is written in
+                for views, sx, sy in turns:
+                    x, y = views[p], views[q]
+                    np.multiply(x, s, out=sx)
+                    np.multiply(y, s, out=sy)
+                    x *= c
+                    x -= sy
+                    y *= c
+                    y += sx
         sweeps += 1
 
-    vals = np.diag(work).copy()
-    order = np.argsort(vals, kind="stable")
-    return EigenDecomposition(
-        values=vals[order],
-        vectors=vt[order].T.copy(),
-        off_diag_norm=_off_norm(work),
-        sweeps=sweeps,
-    )
+    order = np.argsort(np.diag(work), kind="stable")
+    return EigenDecomposition(np.diag(work)[order], vt[order].T.copy(), _off_norm(work), sweeps)
 

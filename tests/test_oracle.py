@@ -116,19 +116,28 @@ def test_jacobi_needs_no_rotation(mat):
     assert decomp.sweeps == 0 and decomp.off_diag_norm == 0.0
 
 
+def _digest(decomp):
+    return hashlib.sha256(decomp.values.tobytes() + decomp.vectors.tobytes()).hexdigest()
+
+
 @pytest.mark.parametrize("m, digest, sweeps, off", [
     (2, "038638b6ad515a4d9c5abe7d3856dbe3525661af117626d5d75cba5c1067d9be", 12,
      "2.7225091998647045e-14"),
     (3, "56de2c09e7f2b9b93e4cf09865038e1d702d708aa0b231e622bb062398c4517b", 14,
      "2.6870927215753686e-13"),
+    # level 4's off_diag_norm moves in its last digit with the BLAS thread
+    # count (ROADMAP item 14), so it is not pinned
+    pytest.param(4, "db2ac659793f131f644bbb397f1af56789420ee7c49c7254b84d5ec0bc6435ba", 16,
+                 None, marks=pytest.mark.slow),
 ])
 def test_jacobi_decomposition_is_pinned(oracle_decomps, m, digest, sweeps, off):
     # the whole decomposition, bit for bit: oracle-compare's pinned
     # documents carry the values only
     decomp = oracle_decomps(m)
-    assert hashlib.sha256(decomp.values.tobytes() + decomp.vectors.tobytes()).hexdigest() == digest
+    assert _digest(decomp) == digest
     assert decomp.sweeps == sweeps
-    assert repr(decomp.off_diag_norm) == off
+    if off is not None:
+        assert repr(decomp.off_diag_norm) == off
 
 
 def test_jacobi_rejects_asymmetric():
@@ -144,6 +153,8 @@ def test_jacobi_random_symmetric_matches_lapack():
     mat = rng.normal(size=(40, 40))
     mat = (mat + mat.T) / 2.0
     decomp = jacobi_eigen(mat)
+    assert _digest(decomp) == "65a688015b0a9a98d033e0dfababaa64e8bbd71a283cd55f123a27fc3d22f961"
+    assert decomp.sweeps == 13
     assert np.allclose(decomp.values, np.linalg.eigvalsh(mat), atol=1e-11)
     assert np.max(np.abs(mat @ decomp.vectors - decomp.vectors * decomp.values)) < 1e-11
     gram = decomp.vectors.T @ decomp.vectors
