@@ -44,6 +44,12 @@ from . import oracle as _oracle
 
 MINUS, PLUS = "-", "+"
 
+#: The continuation rule: a value continues on both branches, and a lineage
+#: whose recorded branches have run out takes MINUS, except that these values
+#: continue on PLUS only.  The minus child of 8 is 2, which has no
+#: eigenfunction at levels >= 2.
+_PLUS_ONLY = [8.0]
+
 SPECTRUM_LEVEL_CAP = 15
 
 #: Limit iteration policy: stop once one more generation moves the
@@ -83,7 +89,7 @@ class Lineage:
             )
         if not isinstance(self.branches, str) or self.branches.strip(MINUS + PLUS):
             _refuse_branches(self.branches)
-        if self.branches and self.branches[0] not in _branches_after(self.birth_value):
+        if self.branches[:1] == MINUS and self.birth_value in _PLUS_ONLY:
             raise ValueError(f"{self.birth_value} does not continue on {self.branches[0]!r}")
 
     @property
@@ -271,17 +277,6 @@ def _child(lam, plus):
     return np.where(plus, 3.0 + root, lam / (3.0 + root))
 
 
-def _branches_after(lam: float) -> str:
-    """The branches lam continues on at the next level; the first is taken
-    once a lineage's recorded branches run out.  The minus child of 8 is 2,
-    which has no eigenfunction at levels >= 2."""
-    return PLUS if lam == 8.0 else MINUS + PLUS
-
-
-#: The values _branches_after continues on PLUS only, for the column steps.
-_PLUS_ONLY = [v for v in FORBIDDEN_VALUES if MINUS not in _branches_after(v)]
-
-
 #: The birth values a valid row can hold, keyed by value.
 _BIRTH_VALUES = {v: v for v in FORBIDDEN_VALUES}
 
@@ -342,9 +337,12 @@ def enumerate_spectrum(m: int) -> SpectrumTable:
     mults = levels = np.empty(0, np.int64)
     chars = np.empty((0, m), np.uint8)  # the branches as bytes, NUL past each row's last
     for k in range(1, m + 1):
-        # one child per allowed (parent, branch), each parent's MINUS before its PLUS
-        allowed = np.column_stack([~np.isin(values, _PLUS_ONLY), np.ones(len(values), bool)])
-        parents, plus = np.nonzero(allowed)
+        # born ascending: the minus children (below 2, rising with the parent) in
+        # parent order, the plus children (4 to 6, falling) in reverse, the births
+        minus = np.flatnonzero(~np.isin(values, _PLUS_ONLY))
+        parents = np.concatenate([minus, np.arange(len(values))[::-1]])
+        continued = np.arange(len(parents))  # the children's rows
+        plus = continued >= len(minus)
         births = {float(v): n for v, n in born_multiplicities(k).items() if n}
         values = np.concatenate([_child(values[parents], plus), list(births)])
         mults = np.concatenate([mults[parents], list(births.values())])
@@ -352,26 +350,25 @@ def enumerate_spectrum(m: int) -> SpectrumTable:
         born_at = np.concatenate([born_at[parents], list(births)])
         chars = np.concatenate([chars[parents], np.zeros((len(births), m), np.uint8)])
         # this level's branch goes at position k - birth_level - 1 of each continued row
-        continued = np.arange(len(parents))
         chars[continued, k - levels[continued] - 1] = np.where(plus, ord(PLUS), ord(MINUS))
-    order = np.argsort(values, kind="stable")
-    branches = chars[order].astype(np.uint32).view(f"U{m}")[:, 0]  # numpy strips the NULs
-    return SpectrumTable(m, values[order], mults[order], levels[order], born_at[order], branches)
+    branches = chars.astype(np.uint32).view(f"U{m}")[:, 0]  # numpy strips the NULs
+    return SpectrumTable(m, values, mults, levels, born_at, branches)
 
 
 def _limits(table: SpectrumTable, count: int) -> LimitTable:
-    """The ``count`` smallest limits of the table's rows, ascending.
+    """The limits of the table's first ``count`` rows, its ``count`` smallest.
 
-    Each row continues on the first branch _branches_after allows (one plus
-    from a value 8, which its lineage carries, then minus) and renormalizes,
-    2 * 6^k lam_k, until one more generation moves it by at most
-    LIMIT_REL_TOL relatively; each row stops at its own generation.  Raises
-    ValueError naming the lineage of the first row still moving after
+    Each row continues by the _PLUS_ONLY rule (one plus from a value 8, which
+    its lineage carries, then minus) and renormalizes, 2 * 6^k lam_k, until
+    one more generation moves it by at most LIMIT_REL_TOL relatively; each row
+    stops at its own generation.  The plus child 4 of the top row's 8 lies
+    above every minus child and the minus branch rises, so the limits keep
+    the rows' order (LimitTable refuses them out of order).  Raises ValueError
+    naming the lineage of the first row still moving after
     LIMIT_GENERATION_CAP generations.
     """
-    size = len(table)
-    limits, generations = np.empty(size), np.empty(size, np.int64)
-    rows, lam = np.arange(size), table.values
+    limits, generations = np.empty(count), np.empty(count, np.int64)
+    rows, lam = np.arange(count), table.values[:count]
     power = 6.0 ** table.level
     prev = 2.0 * power * lam
     for gen in range(table.level + 1, table.level + LIMIT_GENERATION_CAP + 1):
@@ -392,13 +389,12 @@ def _limits(table: SpectrumTable, count: int) -> LimitTable:
             f"the limit of {lineage} did not converge within "
             f"LIMIT_GENERATION_CAP = {LIMIT_GENERATION_CAP} generations"
         )
-    rows = np.argsort(limits, kind="stable")[:count]
     # a plus child (4) and every minus child lie below 8, so only a row starting
     # on a _PLUS_ONLY value takes a plus, on its first step alone
-    plus = np.where(np.isin(table.values[rows], _PLUS_ONLY), PLUS, "")
+    plus = np.where(np.isin(table.values[:count], _PLUS_ONLY), PLUS, "")
     return LimitTable(
-        table.level, limits[rows], table.multiplicities[rows], table.birth_levels[rows],
-        table.birth_values[rows], np.char.add(table.branches[rows], plus), generations[rows],
+        table.level, limits, table.multiplicities[:count], table.birth_levels[:count],
+        table.birth_values[:count], np.char.add(table.branches[:count], plus), generations,
     )
 
 
@@ -512,8 +508,8 @@ def eigenfunction_family(
 
     Starts from the ``member``-th kernel vector at the birth level and
     extends it through eigenfunction_extend along the recorded branches;
-    levels above lineage.level take the first branch _branches_after
-    allows, as limit_spectrum does for the same lineage.
+    levels above lineage.level take PLUS from a _PLUS_ONLY value and MINUS
+    from any other, as limit_spectrum does for the same lineage.
     """
     lookup = graphs or {}
     birth = lineage.birth_level
@@ -532,8 +528,8 @@ def eigenfunction_family(
             raise ValueError(f"lineage starts at level {lineage.level}, got {m}")
         for k in range(max(cache), m):
             u, lam = cache[k]
-            branch = lineage.branches[k - birth:k - birth + 1] or _branches_after(lam)[0]
-            lam = float(_child(lam, branch == PLUS))
+            branch = lineage.branches[k - birth:k - birth + 1]
+            lam = float(_child(lam, branch == PLUS if branch else lam in _PLUS_ONLY))
             cache[k + 1] = (eigenfunction_extend(u, lam, target=lookup.get(k + 1)), lam)
         return cache[m][0]
 

@@ -324,4 +324,4 @@ def spell_keys(keys: np.ndarray, m: int) -> np.ndarray:
     np.add(letters, ord("0") - 1, out=letters, where=letters > 0)
     chars[rows, length] = ord(":")
     chars[rows, length + 1] = keys % 4 + ord("0")
-    return chars.view(f"S{m + 2}")[:, 0].astype(str)  # numpy strips the NULs
+    return chars.astype(np.uint32).view(f"U{m + 2}")[:, 0]  # numpy strips the NULs

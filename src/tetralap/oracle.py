@@ -92,9 +92,6 @@ def jacobi_eigen(a: DirichletMatrix | np.ndarray) -> EigenDecomposition:
     if work.shape != (n, n) or not np.array_equal(work, work.T):
         raise ValueError("jacobi_eigen needs an exactly symmetric square matrix")
     fro = float(np.linalg.norm(work))
-    if fro == 0.0 or n == 1:
-        return EigenDecomposition(np.diag(work).copy(), np.eye(n), 0.0, 0)
-
     # both[p] holds row p of the matrix and of vt = vee.T, so one update turns
     # both rows; columns turn as rows of the transpose.  Views, scratch rows
     # and 0-d scalars are made once per call: a rotation allocates nothing

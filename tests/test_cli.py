@@ -381,6 +381,8 @@ PINNED_DOCUMENTS = {
         "f3565c9e9de4bf59cde5fff362bfe08b1c45d30b5db263c5d127a6c282a587fa",
     "limit-spectrum --births 12 --count 8191 --format csv":
         "4269d3e4b54bdcf8fc78f6c798754f89109747b99577b934e39d47ded4786bfb",
+    "limit-spectrum --births 12 --count 4500 --format csv":
+        "3def38d2b2836da7118aba3e8ce49fd854f7ab38cd467d76b5a73dbf9b3352ad",
     "counting --level 12":
         "a92b80e1be88580d31e48eda656943ec2fe7a13e1edba2b4091fe19ed7146b6f",
     "counting --level 12 --format json":

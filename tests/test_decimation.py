@@ -662,6 +662,25 @@ def test_limit_spectrum_count_guard():
         limit_spectrum(2, 0)
 
 
+@pytest.mark.parametrize("births", range(1, 13))
+def test_limit_spectrum_is_a_prefix_of_the_full_table(births):
+    # limits keep the table's row order, so a count takes the first rows of
+    # the full limit table, every column included
+    full = limit_spectrum(births, len(enumerate_spectrum(births)))
+    for count in (1, 2 ** births, len(full)):
+        part = limit_spectrum(births, count)
+        for name in LimitTable.COLUMNS:
+            assert np.array_equal(getattr(part, name), getattr(full, name)[:count]), (count, name)
+
+
+def test_limits_refuse_rows_whose_limits_fall_out_of_order():
+    # no enumerated table gets here: the minus child of 8.5 (about 2.3) falls
+    # below the plus child 4 of 8, and the limits keep the rows' order
+    table = SpectrumTable(1, [8.0, 8.5], [1, 1], [1, 1], [8.0, 8.0], ["", ""])
+    with pytest.raises(ValueError, match="values must ascend"):
+        decimation._limits(table, 2)
+
+
 def test_plus_branch_strictly_increases_limits():
     # every enumerated lineage with an extra plus branch lands strictly
     # above the minimal continuation of the same birth (all-minus, or

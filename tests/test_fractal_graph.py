@@ -414,7 +414,9 @@ def test_graph_json_schema(capsys):
 @pytest.mark.parametrize("m", range(8))
 def test_address_strings_match_str_address(graphs, m):
     g = graphs(m)
-    assert address_strings(g).tolist() == [str(a) for a in _reference_build(m)[0]]
+    names = address_strings(g)
+    assert names.dtype == f"<U{m + 2}"
+    assert names.tolist() == [str(a) for a in _reference_build(m)[0]]
 
 
 def test_address_strings_peak_is_near_their_result():

@@ -108,7 +108,8 @@ def test_jacobi_identity_matrix():
     assert decomp.sweeps == 0
 
 
-@pytest.mark.parametrize("mat", [np.array([[3.5]]), np.zeros((4, 4))], ids=["1x1", "zero"])
+@pytest.mark.parametrize("mat", [np.array([[3.5]]), np.zeros((4, 4)), np.zeros((0, 0))],
+                         ids=["1x1", "zero", "empty"])
 def test_jacobi_needs_no_rotation(mat):
     decomp = jacobi_eigen(mat)
     assert np.array_equal(decomp.values, np.diag(mat))
