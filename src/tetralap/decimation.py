@@ -351,7 +351,10 @@ def enumerate_spectrum(m: int) -> SpectrumTable:
         chars = np.concatenate([chars[parents], np.zeros((len(births), m), np.uint8)])
         # this level's branch goes at position k - birth_level - 1 of each continued row
         chars[continued, k - levels[continued] - 1] = np.where(plus, ord(PLUS), ord(MINUS))
+    # freed so that they do not sit under the <U{m} conversion's and the lineage check's peaks
+    del minus, parents, continued, plus
     branches = chars.astype(np.uint32).view(f"U{m}")[:, 0]  # numpy strips the NULs
+    del chars
     return SpectrumTable(m, values, mults, levels, born_at, branches)
 
 

@@ -293,17 +293,11 @@ def level_graph(m: int, given: LevelGraph | None = None) -> LevelGraph:
 
 
 def vertex_coords(g: LevelGraph) -> np.ndarray:
-    """(N, 3) positions of all vertices: each key digit d > 0, last letter first,
-    moves x to (x + P_{d-1}) / 2, the midpoint map f_{d-1}, in place per axis."""
-    x = CORNER_COORDS[g.keys % 4]
-    word = g.keys // 4
-    steps = np.vstack([np.zeros(3), CORNER_COORDS])  # row d is P_{d-1}
-    for _ in range(g.level):  # the key's base-5 word digits, last letter first
-        word, d = np.divmod(word, 5)
-        moved = d > 0
-        for a, column in enumerate(x.T):
-            np.add(column, steps[d, a], out=column, where=moved)
-            np.divide(column, 2.0, out=column, where=moved)
+    """(N, 3) positions of all vertices, in _four_copies' order: level k's are the
+    corners, then copy i's level-(k-1) ones from i+1 on, moved by f_i: (x + P_i) / 2."""
+    x = CORNER_COORDS.copy()
+    for _ in range(g.level):
+        x = np.concatenate([CORNER_COORDS, *((x[i + 1:] + p) / 2 for i, p in enumerate(CORNER_COORDS))])
     return x
 
 

@@ -381,6 +381,24 @@ def test_vertex_coords_match_embed_address(graphs, m):
     assert np.array_equal(vertex_coords(g), reference)
 
 
+def test_vertex_coords_are_four_copies_of_the_level_below():
+    # copy i's map sends level k-1's vertices to their images under f_i: the
+    # junctions, written from two copies, and the corner P_i that f_i fixes
+    # are checked against the index form of the layout, up to level 10
+    below = vertex_coords(build_level(0))
+    for k, copy in enumerate(fractal_graph._copy_maps(10), 1):
+        x = vertex_coords(build_level(k))
+        for i, p in enumerate(CORNER_COORDS):
+            assert np.array_equal(x[copy[i]], (below + p) / 2)
+        below = x
+
+
+def test_vertex_coords_of_level_0_are_a_fresh_array():
+    corners = CORNER_COORDS.copy()
+    vertex_coords(build_level(0))[:] = 7.0
+    assert np.array_equal(CORNER_COORDS, corners)
+
+
 def test_cell_midpoint_relation_all_edges(graphs):
     g = graphs(2)
     vertices, words = _reference_build(2)[:2]
@@ -434,9 +452,9 @@ def test_address_strings_peak_is_near_their_result():
 
 
 def test_vertex_coords_peak_is_near_their_result():
-    # the (N, 3) result is updated in place, one axis at a time: 2.38 times the
-    # 3.1 MB result at level 8 (Python 3.11, numpy 2.4), against 3.71 for the
-    # np.where over whole (N, 3) arrays it replaced
+    # the four shifted copies of level 7 and their concatenation: 2.25 times the
+    # 3.1 MB result at level 8 (Python 3.11, numpy 2.4), against 2.38 for the
+    # in-place per-axis walk over the key digits it replaced
     g = build_level(8)
     tracemalloc.start()
     try:
@@ -444,7 +462,7 @@ def test_vertex_coords_peak_is_near_their_result():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.6 * xyz.nbytes
+    assert peak < 2.35 * xyz.nbytes
 
 
 @pytest.mark.parametrize("m", range(5))
